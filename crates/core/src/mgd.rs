@@ -597,7 +597,7 @@ mod tests {
         assert_eq!(ra.steps, rb.steps);
         assert_eq!(ra.best_val_accuracy, rb.best_val_accuracy);
         let x = &features[0];
-        assert_eq!(a.forward(x, false), b.forward(x, false));
+        assert_eq!(a.forward_inference(x), b.forward_inference(x));
     }
 
     #[test]

@@ -131,8 +131,8 @@ mod tests {
             input_channels: 4,
             ..CnnConfig::default()
         };
-        let mut net = cfg.build();
-        let y = net.forward(&Tensor::zeros(cfg.input_shape()), false);
+        let net = cfg.build();
+        let y = net.forward_inference(&Tensor::zeros(cfg.input_shape()));
         assert_eq!(y.shape(), &[2]);
     }
 
@@ -152,10 +152,10 @@ mod tests {
     #[test]
     fn seeded_builds_are_identical() {
         let cfg = CnnConfig::default();
-        let mut a = cfg.build();
-        let mut b = cfg.build();
+        let a = cfg.build();
+        let b = cfg.build();
         let x = Tensor::zeros(cfg.input_shape());
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(a.forward_inference(&x), b.forward_inference(&x));
     }
 
     #[test]

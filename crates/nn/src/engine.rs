@@ -34,13 +34,16 @@
 //!
 //! # Determinism and bit-identity
 //!
-//! The planned path is bit-identical to the allocating [`crate::Layer`]
-//! wrappers by construction: both call the very same `forward_into` /
-//! `backward_into` implementations, and a fused epilogue applies the very
-//! same per-element expression *after* the GEMM accumulation finished, in
-//! index order — exactly what the standalone activation layer would have
-//! done one call later. Dropout draws its mask stream in strict element
-//! order on both paths, so checkpoint/resume stays bit-identical too.
+//! The planner is the only training path: every forward/backward pass
+//! that accumulates gradients runs through [`Network::forward_train_with`]
+//! and [`Network::backward_with`]. Planned inference is bit-identical to
+//! the unplanned [`Network::forward_inference`] by construction: both call
+//! the very same `forward_into` implementations, and a fused epilogue
+//! applies the very same per-element expression *after* the GEMM
+//! accumulation finished, in index order — exactly what the standalone
+//! activation layer would have done one call later. Dropout draws its mask
+//! stream in strict element order, so checkpoint/resume stays
+//! bit-identical too.
 //!
 //! # Examples
 //!
@@ -58,7 +61,7 @@
 //! let x = Tensor::from_vec(vec![4], vec![0.1, -0.2, 0.3, -0.4]);
 //! let logits = ex.infer(&net, &x).to_vec();
 //! assert_eq!(logits.len(), 2);
-//! // Bit-identical to the allocating path.
+//! // Bit-identical to the unplanned layer-by-layer pass.
 //! assert_eq!(logits, net.forward_inference(&x).as_slice());
 //! ```
 
@@ -469,9 +472,8 @@ impl Network {
     }
 
     /// Training-mode planned forward pass (dropout draws masks from its
-    /// RNG stream, exactly one draw per element in order — the same stream
-    /// consumption as the allocating `forward(input, true)`). The arena
-    /// then holds everything [`Network::backward_with`] needs.
+    /// RNG stream, exactly one draw per element in order). The arena then
+    /// holds everything [`Network::backward_with`] needs.
     ///
     /// # Panics
     ///
@@ -860,60 +862,27 @@ mod tests {
     }
 
     #[test]
-    fn planned_inference_is_bit_identical_to_legacy() {
-        let mut net = paper_like_net();
+    fn planned_inference_is_bit_identical_to_layerwise() {
+        let net = paper_like_net();
         let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
-        let legacy = net.forward(&x, false);
+        let layerwise = net.forward_inference(&x);
         let plan = net.plan(&[2, 6, 6]);
         let mut ws = Workspace::new();
         let planned = net.forward_with(&plan, &mut ws, x.as_slice()).to_vec();
-        assert_eq!(planned.as_slice(), legacy.as_slice());
+        assert_eq!(planned.as_slice(), layerwise.as_slice());
         // And through the executor front door.
         let mut ex = Executor::new();
-        assert_eq!(ex.infer(&net, &x), legacy.as_slice());
-    }
-
-    #[test]
-    fn planned_training_step_matches_legacy_gradients_bitwise() {
-        // Run one forward/backward on two identical networks — one through
-        // the legacy wrappers, one through the planned path — and compare
-        // every accumulated gradient bit-for-bit.
-        let mut legacy_net = paper_like_net();
-        let mut planned_net = paper_like_net();
-        let x = wavy_input(2 * 6 * 6, vec![2, 6, 6]);
-        let loss_grad = vec![0.7f32, -0.3];
-
-        let y_legacy = legacy_net.forward(&x, true);
-        let gin_legacy = legacy_net.backward(&Tensor::from_vec(vec![2], loss_grad.clone()));
-
-        let plan = planned_net.plan(&[2, 6, 6]);
-        let mut ws = Workspace::new();
-        let y_planned = planned_net
-            .forward_train_with(&plan, &mut ws, x.as_slice())
-            .to_vec();
-        let gin_planned = planned_net
-            .backward_with(&plan, &mut ws, &loss_grad)
-            .to_vec();
-
-        assert_eq!(y_planned.as_slice(), y_legacy.as_slice());
-        assert_eq!(gin_planned.as_slice(), gin_legacy.as_slice());
-
-        let mut grads_legacy = Vec::new();
-        legacy_net.visit_params(&mut |_, g| grads_legacy.push(g.to_vec()));
-        let mut grads_planned = Vec::new();
-        planned_net.visit_params(&mut |_, g| grads_planned.push(g.to_vec()));
-        assert_eq!(grads_legacy, grads_planned);
-
-        // Both consumed the dropout stream identically.
-        assert_eq!(legacy_net.rng_states(), planned_net.rng_states());
+        assert_eq!(ex.infer(&net, &x), layerwise.as_slice());
     }
 
     #[test]
     fn repeated_training_steps_stay_bit_identical() {
-        let mut legacy_net = paper_like_net();
-        let mut planned_net = paper_like_net();
-        let plan = planned_net.plan(&[2, 6, 6]);
-        let mut ws = Workspace::new();
+        // A warm workspace reused across steps must train exactly like a
+        // fresh one per step: no step may read state an earlier step left
+        // in the arena.
+        let mut warm_net = paper_like_net();
+        let mut fresh_net = paper_like_net();
+        let mut warm = Executor::new();
         for step in 0..4 {
             let x = Tensor::from_vec(
                 vec![2, 6, 6],
@@ -921,26 +890,24 @@ mod tests {
                     .map(|i| ((i + step * 72) as f32 * 0.21).cos())
                     .collect(),
             );
-            legacy_net.zero_grads();
-            let yl = legacy_net.forward(&x, true);
-            let (_, gl) = crate::loss::softmax_cross_entropy(&yl, &[1.0, 0.0]);
-            legacy_net.backward(&gl);
-            legacy_net.apply_gradients(0.05);
-
-            planned_net.zero_grads();
-            let yp = planned_net
-                .forward_train_with(&plan, &mut ws, x.as_slice())
-                .to_vec();
-            let (_, gp) =
-                crate::loss::softmax_cross_entropy(&Tensor::from_vec(vec![2], yp), &[1.0, 0.0]);
-            planned_net.backward_with(&plan, &mut ws, gp.as_slice());
-            planned_net.apply_gradients(0.05);
+            for (net, ex) in [
+                (&mut warm_net, &mut warm),
+                (&mut fresh_net, &mut Executor::new()),
+            ] {
+                net.zero_grads();
+                let mut g = [0.0f32; 2];
+                let y = ex.forward_train(net, &x);
+                let _ = crate::loss::softmax_cross_entropy_into(y, &[1.0, 0.0], &mut g);
+                ex.backward(net, &g);
+                net.apply_gradients(0.05);
+            }
         }
-        let mut wl = Vec::new();
-        legacy_net.visit_params(&mut |w, _| wl.push(w.to_vec()));
-        let mut wp = Vec::new();
-        planned_net.visit_params(&mut |w, _| wp.push(w.to_vec()));
-        assert_eq!(wl, wp);
+        let mut ww = Vec::new();
+        warm_net.visit_params(&mut |w, _| ww.push(w.to_vec()));
+        let mut wf = Vec::new();
+        fresh_net.visit_params(&mut |w, _| wf.push(w.to_vec()));
+        assert_eq!(ww, wf);
+        assert_eq!(warm_net.rng_states(), fresh_net.rng_states());
     }
 
     #[test]
@@ -1139,8 +1106,8 @@ mod tests {
     fn gradcheck_fused_epilogues_against_finite_difference() {
         // Gradient-check the fused conv+relu and dense+sigmoid blocks: the
         // analytic planned gradient must match central differences on the
-        // unfused (legacy, standalone-activation) forward — pinning that
-        // fusion changed neither forward values nor gradients.
+        // unfused (standalone-activation) forward — pinning that fusion
+        // changed neither forward values nor gradients.
         let mut net = Network::new();
         net.push(Conv2d::new(1, 2, 3, 1, 3));
         net.push(Relu::new());
@@ -1163,7 +1130,7 @@ mod tests {
         let mut analytic = Vec::new();
         net.visit_params(&mut |_, g| analytic.push(g.to_vec()));
 
-        // Finite differences through the legacy unfused forward.
+        // Finite differences through the unfused layer-by-layer forward.
         let eps = 1e-2f32;
         let mut numeric: Vec<Vec<f32>> = Vec::new();
         let mut slot = 0usize;

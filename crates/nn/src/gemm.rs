@@ -697,11 +697,13 @@ mod avx2 {
             }
             while j < n {
                 for r in 0..4 {
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += *ap.add((i + r) * k + p) * *bp.add(p * n + j);
-                    }
-                    *cp.add((i + r) * n + j) += acc;
+                    *cp.add((i + r) * n + j) = column_tail(
+                        ap.add((i + r) * k),
+                        bp.add(j),
+                        n,
+                        k,
+                        *cp.add((i + r) * n + j),
+                    );
                 }
                 j += 1;
             }
@@ -719,15 +721,26 @@ mod avx2 {
                 j += 8;
             }
             while j < n {
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += *ap.add(i * k + p) * *bp.add(p * n + j);
-                }
-                *cp.add(i * n + j) += acc;
+                *cp.add(i * n + j) =
+                    column_tail(ap.add(i * k), bp.add(j), n, k, *cp.add(i * n + j));
                 j += 1;
             }
             i += 1;
         }
+    }
+
+    /// One `C` element past the last full vector strip: `c` plus row `a`
+    /// times column `b` (row stride `n`), with the same in-order FMA per
+    /// `k` step a vector lane applies. An element's bits therefore do not
+    /// depend on whether it landed in a vector strip or the tail, so a
+    /// batched GEMM over more columns matches the per-window GEMM.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn column_tail(a: *const f32, b: *const f32, n: usize, k: usize, c: f32) -> f32 {
+        let mut acc = c;
+        for p in 0..k {
+            acc = (*a.add(p)).mul_add(*b.add(p * n), acc);
+        }
+        acc
     }
 
     /// Vector dot with two independent YMM accumulators; the horizontal
@@ -1234,6 +1247,13 @@ mod tests {
     #[test]
     fn backend_resolution_is_stable_and_named() {
         let b = kernel_backend();
+        // CI runs this with --nocapture so each backend leg's log names
+        // the backend it covered.
+        println!(
+            "resolved kernel backend: {} (HOTSPOT_SIMD={:?})",
+            b.name(),
+            std::env::var("HOTSPOT_SIMD").ok()
+        );
         assert_eq!(b, kernel_backend());
         assert!(matches!(b.name(), "scalar" | "avx2" | "avx512"));
         assert_eq!(b.is_simd(), b.name() != "scalar");

@@ -6,7 +6,7 @@
 //! nonlinearity. Both report [`Layer::as_epilogue`] so an execution plan
 //! can fuse them into a preceding conv/dense GEMM tail.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 
@@ -15,22 +15,22 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Layer, Sigmoid};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Sigmoid;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut s = Sigmoid::new();
-/// let y = s.forward(&Tensor::from_vec(vec![1], vec![0.0]), true);
-/// assert!((y.as_slice()[0] - 0.5).abs() < 1e-6);
+/// let mut net = Network::new();
+/// net.push(Sigmoid::new());
+/// let y = Executor::new().infer(&net, &Tensor::from_vec(vec![1], vec![0.0]))[0];
+/// assert!((y - 0.5).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cache: LegacyCache,
-}
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates a sigmoid activation.
     pub fn new() -> Self {
-        Sigmoid::default()
+        Sigmoid
     }
 }
 
@@ -80,10 +80,6 @@ impl Layer for Sigmoid {
         Some(Epilogue::Sigmoid)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
     fn zero_grads(&mut self) {}
 
@@ -98,14 +94,12 @@ impl Layer for Sigmoid {
 
 /// Element-wise hyperbolic tangent.
 #[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cache: LegacyCache,
-}
+pub struct Tanh;
 
 impl Tanh {
     /// Creates a tanh activation.
     pub fn new() -> Self {
-        Tanh::default()
+        Tanh
     }
 }
 
@@ -155,10 +149,6 @@ impl Layer for Tanh {
         Some(Epilogue::Tanh)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
     fn zero_grads(&mut self) {}
 
@@ -174,11 +164,25 @@ impl Layer for Tanh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::Network;
+
+    /// Runs `layer` alone through a planned training forward and backward,
+    /// returning (output, ∂loss/∂input).
+    fn train_pass<L: Layer + 'static>(layer: L, x: &[f32], g: &[f32]) -> (Vec<f32>, Vec<f32>) {
+        let mut net = Network::new();
+        net.push(layer);
+        let mut ex = Executor::new();
+        let y = ex
+            .forward_train(&mut net, &Tensor::from_vec(vec![x.len()], x.to_vec()))
+            .to_vec();
+        let gin = ex.backward(&mut net, g).to_vec();
+        (y, gin)
+    }
 
     #[test]
     fn sigmoid_range_and_symmetry() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![3], vec![-3.0, 0.0, 3.0]), true);
+        let y = Sigmoid::new().forward_inference(&Tensor::from_vec(vec![3], vec![-3.0, 0.0, 3.0]));
         let v = y.as_slice();
         assert!(v.iter().all(|&x| (0.0..=1.0).contains(&x)));
         assert!((v[1] - 0.5).abs() < 1e-6);
@@ -188,19 +192,16 @@ mod tests {
     #[test]
     fn sigmoid_gradient_matches_finite_difference() {
         let x0 = 0.7f32;
-        let mut s = Sigmoid::new();
-        let _ = s.forward(&Tensor::from_vec(vec![1], vec![x0]), true);
-        let g = s.backward(&Tensor::from_vec(vec![1], vec![1.0]));
+        let (_, g) = train_pass(Sigmoid::new(), &[x0], &[1.0]);
         let eps = 1e-3f32;
         let f = |x: f32| 1.0 / (1.0 + (-x).exp());
         let fd = (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps);
-        assert!((g.as_slice()[0] - fd).abs() < 1e-4);
+        assert!((g[0] - fd).abs() < 1e-4);
     }
 
     #[test]
     fn tanh_is_odd_and_bounded() {
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![3], vec![-2.0, 0.0, 2.0]), true);
+        let y = Tanh::new().forward_inference(&Tensor::from_vec(vec![3], vec![-2.0, 0.0, 2.0]));
         let v = y.as_slice();
         assert!((v[1]).abs() < 1e-7);
         assert!((v[0] + v[2]).abs() < 1e-6, "tanh is odd");
@@ -210,24 +211,26 @@ mod tests {
     #[test]
     fn tanh_gradient_matches_finite_difference() {
         let x0 = -0.4f32;
-        let mut t = Tanh::new();
-        let _ = t.forward(&Tensor::from_vec(vec![1], vec![x0]), true);
-        let g = t.backward(&Tensor::from_vec(vec![1], vec![1.0]));
+        let (_, g) = train_pass(Tanh::new(), &[x0], &[1.0]);
         let eps = 1e-3f32;
         let fd = ((x0 + eps).tanh() - (x0 - eps).tanh()) / (2.0 * eps);
-        assert!((g.as_slice()[0] - fd).abs() < 1e-4);
+        assert!((g[0] - fd).abs() < 1e-4);
     }
 
     #[test]
     fn shapes_preserved() {
-        let mut s = Sigmoid::new();
+        let s = Sigmoid::new();
         assert_eq!(
-            s.forward(&Tensor::zeros(vec![2, 3, 4]), false).shape(),
+            s.forward_inference(&Tensor::zeros(vec![2, 3, 4])).shape(),
             &[2, 3, 4]
         );
         assert_eq!(s.out_shape(&[5]), vec![5]);
-        let mut t = Tanh::new();
-        assert_eq!(t.forward(&Tensor::zeros(vec![7]), false).shape(), &[7]);
+        assert_eq!(
+            Tanh::new()
+                .forward_inference(&Tensor::zeros(vec![7]))
+                .shape(),
+            &[7]
+        );
     }
 
     #[test]
@@ -235,18 +238,14 @@ mod tests {
         let xs = [-2.0f32, -0.3, 0.0, 0.8, 2.5];
         let gs = [1.0f32, -2.0, 0.5, 3.0, -1.0];
         // Sigmoid.
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![5], xs.to_vec()), true);
-        let standalone = s.backward(&Tensor::from_vec(vec![5], gs.to_vec()));
+        let (y, standalone) = train_pass(Sigmoid::new(), &xs, &gs);
         let mut fused = gs.to_vec();
-        Epilogue::Sigmoid.grad_from_output(y.as_slice(), &mut fused);
-        assert_eq!(standalone.as_slice(), fused.as_slice());
+        Epilogue::Sigmoid.grad_from_output(&y, &mut fused);
+        assert_eq!(standalone, fused);
         // Tanh.
-        let mut t = Tanh::new();
-        let y = t.forward(&Tensor::from_vec(vec![5], xs.to_vec()), true);
-        let standalone = t.backward(&Tensor::from_vec(vec![5], gs.to_vec()));
+        let (y, standalone) = train_pass(Tanh::new(), &xs, &gs);
         let mut fused = gs.to_vec();
-        Epilogue::Tanh.grad_from_output(y.as_slice(), &mut fused);
-        assert_eq!(standalone.as_slice(), fused.as_slice());
+        Epilogue::Tanh.grad_from_output(&y, &mut fused);
+        assert_eq!(standalone, fused);
     }
 }

@@ -1,6 +1,6 @@
 //! 2×2 average pooling.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 
@@ -10,22 +10,22 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{AvgPool2, Layer};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::AvgPool2;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut pool = AvgPool2::new();
+/// let mut net = Network::new();
+/// net.push(AvgPool2::new());
 /// let x = Tensor::from_vec(vec![1, 2, 2], vec![1.0, 5.0, 3.0, 3.0]);
-/// assert_eq!(pool.forward(&x, true).as_slice(), &[3.0]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[3.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct AvgPool2 {
-    cache: LegacyCache,
-}
+pub struct AvgPool2;
 
 impl AvgPool2 {
     /// Creates a 2×2/stride-2 average-pooling layer.
     pub fn new() -> Self {
-        AvgPool2::default()
+        AvgPool2
     }
 
     fn check_input(in_shape: &[usize]) -> (usize, usize, usize) {
@@ -90,10 +90,6 @@ impl Layer for AvgPool2 {
         }
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
     fn zero_grads(&mut self) {}
 
@@ -109,29 +105,37 @@ impl Layer for AvgPool2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::Network;
+
+    /// ∂loss/∂input of a planned training pass through a lone 2×2 pool
+    /// over a 1×2×2 input whose single output receives gradient `g`.
+    fn pool_backward(x: Vec<f32>, g: f32) -> Vec<f32> {
+        let mut net = Network::new();
+        net.push(AvgPool2::new());
+        let mut ex = Executor::new();
+        let _ = ex.forward_train(&mut net, &Tensor::from_vec(vec![1, 2, 2], x));
+        ex.backward(&mut net, &[g]).to_vec()
+    }
 
     #[test]
     fn averages_windows() {
-        let mut pool = AvgPool2::new();
         let x = Tensor::from_vec(vec![1, 4, 4], (1..=16).map(|v| v as f32).collect());
-        let y = pool.forward(&x, true);
+        let y = AvgPool2::new().forward_inference(&x);
         // Window (0,0): mean of 1,2,5,6 = 3.5.
         assert_eq!(y.as_slice(), &[3.5, 5.5, 11.5, 13.5]);
     }
 
     #[test]
     fn backward_distributes_uniformly() {
-        let mut pool = AvgPool2::new();
-        let _ = pool.forward(&Tensor::zeros(vec![1, 2, 2]), true);
-        let g = pool.backward(&Tensor::from_vec(vec![1, 1, 1], vec![4.0]));
-        assert_eq!(g.as_slice(), &[1.0, 1.0, 1.0, 1.0]);
+        let g = pool_backward(vec![0.0; 4], 4.0);
+        assert_eq!(g, &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn mean_is_preserved_for_even_inputs() {
-        let mut pool = AvgPool2::new();
         let x = Tensor::from_vec(vec![2, 4, 4], (0..32).map(|v| v as f32).collect());
-        let y = pool.forward(&x, true);
+        let y = AvgPool2::new().forward_inference(&x);
         let in_mean: f32 = x.as_slice().iter().sum::<f32>() / 32.0;
         let out_mean: f32 = y.as_slice().iter().sum::<f32>() / 8.0;
         assert!((in_mean - out_mean).abs() < 1e-5);
@@ -140,11 +144,8 @@ mod tests {
     #[test]
     fn gradient_matches_finite_difference() {
         // Check dL/dx for L = sum(avgpool(x) * c).
-        let mut pool = AvgPool2::new();
-        let x = Tensor::from_vec(vec![1, 2, 2], vec![0.3, -0.7, 0.9, 0.1]);
-        let _ = pool.forward(&x, true);
-        let g = pool.backward(&Tensor::from_vec(vec![1, 1, 1], vec![2.0]));
+        let g = pool_backward(vec![0.3, -0.7, 0.9, 0.1], 2.0);
         // Analytic: each input contributes 2.0 * 0.25 = 0.5.
-        assert!(g.as_slice().iter().all(|&v| (v - 0.5).abs() < 1e-6));
+        assert!(g.iter().all(|&v| (v - 0.5).abs() < 1e-6));
     }
 }

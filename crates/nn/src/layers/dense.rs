@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 use crate::{gemm, init};
@@ -19,12 +19,14 @@ use rand::SeedableRng;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Dense, Layer};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Dense;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut fc = Dense::new(288, 250, 7);
-/// let y = fc.forward(&Tensor::zeros(vec![288]), true);
-/// assert_eq!(y.shape(), &[250]);
+/// let mut net = Network::new();
+/// net.push(Dense::new(288, 250, 7));
+/// let y = Executor::new().forward_train(&mut net, &Tensor::zeros(vec![288])).len();
+/// assert_eq!(y, 250);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dense {
@@ -34,7 +36,6 @@ pub struct Dense {
     bias: Vec<f32>,
     grad_weights: Vec<f32>,
     grad_bias: Vec<f32>,
-    cache: LegacyCache,
 }
 
 impl Dense {
@@ -53,7 +54,6 @@ impl Dense {
             bias: vec![0.0; out_features],
             grad_weights: vec![0.0; in_features * out_features],
             grad_bias: vec![0.0; out_features],
-            cache: LegacyCache::default(),
         }
     }
 
@@ -161,10 +161,6 @@ impl Layer for Dense {
         true
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         visitor(&mut self.weights, &mut self.grad_weights);
         visitor(&mut self.bias, &mut self.grad_bias);
@@ -187,6 +183,8 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::Network;
 
     fn fixed_dense() -> Dense {
         // 2 -> 2 with W = [[1, 2], [3, 4]], b = [10, 20].
@@ -203,22 +201,29 @@ mod tests {
         d
     }
 
+    fn fixed_net() -> Network {
+        let mut net = Network::new();
+        net.push(fixed_dense());
+        net
+    }
+
     #[test]
     fn forward_matches_hand_computation() {
-        let mut d = fixed_dense();
-        let y = d.forward(&Tensor::from_vec(vec![2], vec![1.0, 1.0]), false);
+        let d = fixed_dense();
+        let y = d.forward_inference(&Tensor::from_vec(vec![2], vec![1.0, 1.0]));
         assert_eq!(y.as_slice(), &[13.0, 27.0]);
     }
 
     #[test]
     fn backward_gradients_match_hand_computation() {
-        let mut d = fixed_dense();
-        let _ = d.forward(&Tensor::from_vec(vec![2], vec![5.0, -1.0]), true);
-        let gin = d.backward(&Tensor::from_vec(vec![2], vec![1.0, 2.0]));
+        let mut net = fixed_net();
+        let mut ex = Executor::new();
+        let _ = ex.forward_train(&mut net, &Tensor::from_vec(vec![2], vec![5.0, -1.0]));
+        let gin = ex.backward(&mut net, &[1.0, 2.0]);
         // dX = Wᵀ·g = [1*1+3*2, 2*1+4*2] = [7, 10].
-        assert_eq!(gin.as_slice(), &[7.0, 10.0]);
+        assert_eq!(gin, &[7.0, 10.0]);
         let mut seen = Vec::new();
-        d.visit_params(&mut |_, g| seen.push(g.to_vec()));
+        net.visit_params(&mut |_, g| seen.push(g.to_vec()));
         // dW = g ⊗ x = [[5,-1],[10,-2]]; db = g.
         assert_eq!(seen[0], vec![5.0, -1.0, 10.0, -2.0]);
         assert_eq!(seen[1], vec![1.0, 2.0]);
@@ -226,32 +231,33 @@ mod tests {
 
     #[test]
     fn gradients_accumulate_until_zeroed() {
-        let mut d = fixed_dense();
+        let mut net = fixed_net();
+        let mut ex = Executor::new();
         for _ in 0..3 {
-            let _ = d.forward(&Tensor::from_vec(vec![2], vec![1.0, 0.0]), true);
-            let _ = d.backward(&Tensor::from_vec(vec![2], vec![1.0, 0.0]));
+            let _ = ex.forward_train(&mut net, &Tensor::from_vec(vec![2], vec![1.0, 0.0]));
+            let _ = ex.backward(&mut net, &[1.0, 0.0]);
         }
         let mut gb = Vec::new();
-        d.visit_params(&mut |_, g| gb.push(g.to_vec()));
+        net.visit_params(&mut |_, g| gb.push(g.to_vec()));
         assert_eq!(gb[1][0], 3.0);
-        d.zero_grads();
+        net.zero_grads();
         let mut gb2 = Vec::new();
-        d.visit_params(&mut |_, g| gb2.push(g.to_vec()));
+        net.visit_params(&mut |_, g| gb2.push(g.to_vec()));
         assert!(gb2[1].iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn accepts_flattened_rank3_input() {
-        let mut d = Dense::new(12, 3, 1);
-        let y = d.forward(&Tensor::zeros(vec![3, 2, 2]), false);
+        let d = Dense::new(12, 3, 1);
+        let y = d.forward_inference(&Tensor::zeros(vec![3, 2, 2]));
         assert_eq!(y.shape(), &[3]);
     }
 
     #[test]
     #[should_panic(expected = "dense expected")]
     fn rejects_wrong_input_len() {
-        let mut d = Dense::new(4, 2, 0);
-        let _ = d.forward(&Tensor::zeros(vec![5]), false);
+        let d = Dense::new(4, 2, 0);
+        let _ = d.forward_inference(&Tensor::zeros(vec![5]));
     }
 
     #[test]

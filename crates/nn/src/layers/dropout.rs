@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 use rand::rngs::StdRng;
@@ -13,26 +13,27 @@ use rand::{Rng, SeedableRng};
 ///
 /// The mask backward needs lives in the caller-provided f32 scratch
 /// ([`Layer::scratch_len`] equals the element count). Masks are drawn from
-/// the layer's own seeded RNG stream in strict element order, so planned
-/// and legacy training paths consume the stream identically — which is
-/// what keeps checkpoint/resume bit-identical.
+/// the layer's own seeded RNG stream in strict element order, one draw per
+/// element per training forward — which is what keeps checkpoint/resume
+/// bit-identical.
 ///
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Dropout, Layer};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Dropout;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut drop = Dropout::new(0.5, 1);
+/// let mut net = Network::new();
+/// net.push(Dropout::new(0.5, 1));
 /// let x = Tensor::from_vec(vec![4], vec![1.0; 4]);
 /// // Inference passes values through untouched.
-/// assert_eq!(drop.forward(&x, false).as_slice(), &[1.0; 4]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[1.0; 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    cache: LegacyCache,
 }
 
 impl Dropout {
@@ -50,7 +51,6 @@ impl Dropout {
         Dropout {
             p,
             rng: StdRng::seed_from_u64(seed),
-            cache: LegacyCache::default(),
         }
     }
 
@@ -82,8 +82,8 @@ impl Layer for Dropout {
     ) {
         // Inverted dropout is the identity at inference time, and no RNG
         // is drawn — the training stream is left untouched. The mask is
-        // still recorded (all ones) so a backward after an inference-mode
-        // forward passes gradients through unchanged.
+        // still recorded (all ones): the `p = 0` training forward runs
+        // this method, and its backward reads the mask.
         scratch[..y.len()].fill(1.0);
         y.copy_from_slice(x);
     }
@@ -125,10 +125,6 @@ impl Layer for Dropout {
         }
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -153,73 +149,61 @@ impl Layer for Dropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::Network;
+
+    /// A planned training forward of `x` through a lone `Dropout::new(p, seed)`.
+    fn train_forward(p: f32, seed: u64, x: &Tensor) -> Vec<f32> {
+        let mut net = Network::new();
+        net.push(Dropout::new(p, seed));
+        Executor::new().forward_train(&mut net, x).to_vec()
+    }
 
     #[test]
     fn inference_is_identity() {
-        let mut d = Dropout::new(0.9, 0);
+        let d = Dropout::new(0.9, 0);
         let x = Tensor::from_vec(vec![8], vec![2.0; 8]);
-        assert_eq!(d.forward(&x, false).as_slice(), x.as_slice());
+        assert_eq!(d.forward_inference(&x).as_slice(), x.as_slice());
     }
 
     #[test]
     fn training_zeroes_roughly_p_fraction() {
-        let mut d = Dropout::new(0.5, 42);
         let x = Tensor::from_vec(vec![10_000], vec![1.0; 10_000]);
-        let y = d.forward(&x, true);
-        let zeros = y.as_slice().iter().filter(|&&v| v == 0.0).count();
+        let y = train_forward(0.5, 42, &x);
+        let zeros = y.iter().filter(|&&v| v == 0.0).count();
         assert!((4_000..6_000).contains(&zeros), "{zeros} zeros");
         // Survivors are scaled by 2.
-        assert!(y
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
+        assert!(y.iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
     }
 
     #[test]
     fn expectation_is_preserved() {
-        let mut d = Dropout::new(0.3, 7);
         let x = Tensor::from_vec(vec![50_000], vec![1.0; 50_000]);
-        let y = d.forward(&x, true);
-        let mean: f64 = y.as_slice().iter().map(|&v| v as f64).sum::<f64>() / 50_000.0;
+        let y = train_forward(0.3, 7, &x);
+        let mean: f64 = y.iter().map(|&v| v as f64).sum::<f64>() / 50_000.0;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
     }
 
     #[test]
     fn backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5, 3);
+        let mut net = Network::new();
+        net.push(Dropout::new(0.5, 3));
+        let mut ex = Executor::new();
         let x = Tensor::from_vec(vec![100], vec![1.0; 100]);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::from_vec(vec![100], vec![1.0; 100]));
-        assert_eq!(y.as_slice(), g.as_slice());
+        let y = ex.forward_train(&mut net, &x).to_vec();
+        let g = ex.backward(&mut net, &[1.0; 100]);
+        assert_eq!(y, g);
     }
 
     #[test]
     fn p_zero_is_identity_even_in_training() {
-        let mut d = Dropout::new(0.0, 0);
         let x = Tensor::from_vec(vec![4], vec![3.0; 4]);
-        assert_eq!(d.forward(&x, true).as_slice(), x.as_slice());
+        assert_eq!(train_forward(0.0, 0, &x), x.as_slice());
     }
 
     #[test]
     #[should_panic(expected = "dropout p")]
     fn p_one_rejected() {
         let _ = Dropout::new(1.0, 0);
-    }
-
-    #[test]
-    fn planned_train_draws_match_legacy_stream() {
-        // Two layers seeded alike must produce the same masks whether
-        // driven through the legacy `forward` or `forward_train_into`.
-        let mut a = Dropout::new(0.5, 77);
-        let mut b = Dropout::new(0.5, 77);
-        let x: Vec<f32> = (0..64).map(|i| i as f32 * 0.1).collect();
-        for _ in 0..3 {
-            let ya = a.forward(&Tensor::from_vec(vec![64], x.clone()), true);
-            let mut yb = vec![0.0f32; 64];
-            let mut scratch = vec![0.0f32; 64];
-            b.forward_train_into(&x, &[64], &mut yb, &mut scratch, &mut [], None);
-            assert_eq!(ya.as_slice(), yb.as_slice());
-        }
-        assert_eq!(a.rng_state(), b.rng_state());
     }
 }

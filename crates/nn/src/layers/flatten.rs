@@ -1,6 +1,6 @@
 //! Shape flattening between convolutional and dense stages.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 
@@ -9,22 +9,20 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Flatten, Layer};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::layers::Flatten;
+/// use hotspot_nn::Network;
 ///
-/// let mut f = Flatten::new();
-/// let y = f.forward(&Tensor::zeros(vec![32, 3, 3]), true);
-/// assert_eq!(y.shape(), &[288]);
+/// let mut net = Network::new();
+/// net.push(Flatten::new());
+/// assert_eq!(net.plan(&[32, 3, 3]).out_shape(), &[288]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cache: LegacyCache,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Flatten::default()
+        Flatten
     }
 }
 
@@ -64,10 +62,6 @@ impl Layer for Flatten {
         grad_in.copy_from_slice(ctx.grad);
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -87,19 +81,19 @@ mod tests {
 
     #[test]
     fn roundtrip_restores_shape() {
-        let mut f = Flatten::new();
+        let mut net = crate::Network::new();
+        net.push(Flatten::new());
+        let mut ex = crate::engine::Executor::new();
         let x = Tensor::from_vec(vec![2, 2, 3], (0..12).map(|v| v as f32).collect());
-        let y = f.forward(&x, true);
-        assert_eq!(y.shape(), &[12]);
-        let g = f.backward(&y);
-        assert_eq!(g.shape(), &[2, 2, 3]);
-        assert_eq!(g.as_slice(), x.as_slice());
+        let y = ex.forward_train(&mut net, &x).to_vec();
+        assert_eq!(ex.plan().map(|p| p.out_shape()), Some(&[12usize][..]));
+        let g = ex.backward(&mut net, &y);
+        assert_eq!(g, x.as_slice());
     }
 
     #[test]
     fn rank1_passthrough() {
-        let mut f = Flatten::new();
         let x = Tensor::from_vec(vec![5], vec![1.0; 5]);
-        assert_eq!(f.forward(&x, false).shape(), &[5]);
+        assert_eq!(Flatten::new().forward_inference(&x).shape(), &[5]);
     }
 }

@@ -1,6 +1,6 @@
 //! Rectified linear activation.
 
-use super::{BackwardCtx, Epilogue, Layer, LegacyCache};
+use super::{BackwardCtx, Epilogue, Layer};
 #[cfg(test)]
 use crate::Tensor;
 
@@ -14,22 +14,22 @@ use crate::Tensor;
 /// # Examples
 ///
 /// ```
-/// use hotspot_nn::layers::{Layer, Relu};
-/// use hotspot_nn::Tensor;
+/// use hotspot_nn::engine::Executor;
+/// use hotspot_nn::layers::Relu;
+/// use hotspot_nn::{Network, Tensor};
 ///
-/// let mut relu = Relu::new();
-/// let y = relu.forward(&Tensor::from_vec(vec![3], vec![-1.0, 0.0, 2.0]), true);
-/// assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
+/// let mut net = Network::new();
+/// net.push(Relu::new());
+/// let x = Tensor::from_vec(vec![3], vec![-1.0, 0.0, 2.0]);
+/// assert_eq!(Executor::new().infer(&net, &x), &[0.0, 0.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Relu {
-    cache: LegacyCache,
-}
+pub struct Relu;
 
 impl Relu {
     /// Creates a ReLU activation.
     pub fn new() -> Self {
-        Relu::default()
+        Relu
     }
 }
 
@@ -81,10 +81,6 @@ impl Layer for Relu {
         Some(Epilogue::Relu)
     }
 
-    fn legacy_cache(&mut self) -> &mut LegacyCache {
-        &mut self.cache
-    }
-
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
 
     fn zero_grads(&mut self) {}
@@ -101,35 +97,41 @@ impl Layer for Relu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
+    use crate::Network;
+
+    /// ∂loss/∂input of a planned training pass through a lone ReLU.
+    fn relu_backward(x: &[f32], g: &[f32]) -> Vec<f32> {
+        let mut net = Network::new();
+        net.push(Relu::new());
+        let mut ex = Executor::new();
+        let _ = ex.forward_train(&mut net, &Tensor::from_vec(vec![x.len()], x.to_vec()));
+        ex.backward(&mut net, g).to_vec()
+    }
 
     #[test]
     fn forward_clamps_negatives() {
-        let mut r = Relu::new();
-        let y = r.forward(&Tensor::from_vec(vec![4], vec![-2.0, -0.0, 0.5, 3.0]), true);
+        let y =
+            Relu::new().forward_inference(&Tensor::from_vec(vec![4], vec![-2.0, -0.0, 0.5, 3.0]));
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 3.0]);
     }
 
     #[test]
     fn backward_masks_gradient() {
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![4], vec![-1.0, 2.0, -3.0, 4.0]), true);
-        let g = r.backward(&Tensor::from_vec(vec![4], vec![1.0, 1.0, 1.0, 1.0]));
-        assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
+        let g = relu_backward(&[-1.0, 2.0, -3.0, 4.0], &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(g, &[0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn zero_input_has_zero_gradient() {
         // Subgradient convention: ReLU'(0) = 0.
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![1], vec![0.0]), true);
-        let g = r.backward(&Tensor::from_vec(vec![1], vec![5.0]));
-        assert_eq!(g.as_slice(), &[0.0]);
+        assert_eq!(relu_backward(&[0.0], &[5.0]), &[0.0]);
     }
 
     #[test]
     fn preserves_shape() {
-        let mut r = Relu::new();
-        let y = r.forward(&Tensor::zeros(vec![2, 3, 4]), false);
+        let r = Relu::new();
+        let y = r.forward_inference(&Tensor::zeros(vec![2, 3, 4]));
         assert_eq!(y.shape(), &[2, 3, 4]);
         assert_eq!(r.out_shape(&[2, 3, 4]), vec![2, 3, 4]);
     }
@@ -141,12 +143,10 @@ mod tests {
         // predicate x > 0 (y == x where x > 0, else y == 0).
         let x = [-1.5f32, 0.0, 0.5, 3.0];
         let g = [1.0f32, 2.0, 3.0, 4.0];
-        let mut r = Relu::new();
-        let _ = r.forward(&Tensor::from_vec(vec![4], x.to_vec()), true);
-        let standalone = r.backward(&Tensor::from_vec(vec![4], g.to_vec()));
+        let standalone = relu_backward(&x, &g);
         let y: Vec<f32> = x.iter().map(|&v| if v > 0.0 { v } else { 0.0 }).collect();
         let mut fused = g.to_vec();
         Epilogue::Relu.grad_from_output(&y, &mut fused);
-        assert_eq!(standalone.as_slice(), fused.as_slice());
+        assert_eq!(standalone, fused);
     }
 }

@@ -14,12 +14,12 @@
 //!   bit-identity oracle (see [`ulp`] for the SIMD comparison contract).
 //! - [`loss`]: softmax cross-entropy with **soft targets**, the ingredient
 //!   biased learning needs (`y*_n = [1-ε, ε]`).
-//! - [`Network`]: a sequential container with forward/backward passes and
-//!   parameter visitation.
-//! - [`engine`]: shape-planned execution — a `ShapePlan`/`Workspace` pair
+//! - [`Network`]: a sequential layer container with parameter visitation.
+//! - [`engine`]: shape-planned execution, the one path every training
+//!   forward/backward pass runs through — a `ShapePlan`/`Workspace` pair
 //!   that preallocates every intermediate buffer in one arena and fuses
 //!   activation epilogues into the GEMM layers, so steady-state inference
-//!   and training do zero allocations (bit-identical to the classic path).
+//!   and training do zero allocations.
 //! - [`optim`]: plain SGD and the paper's mini-batch gradient descent
 //!   (Algorithm 1) with step-decayed learning rate.
 //! - [`parallel`]: deterministic multi-threaded mini-batch gradients
@@ -35,6 +35,7 @@
 //! Train a tiny MLP on XOR:
 //!
 //! ```
+//! use hotspot_nn::engine::Executor;
 //! use hotspot_nn::layers::{Dense, Relu};
 //! use hotspot_nn::{loss, Network, Tensor};
 //!
@@ -49,19 +50,20 @@
 //!     ([1.0, 0.0], [0.0, 1.0]),
 //!     ([1.0, 1.0], [1.0, 0.0]),
 //! ];
+//! let mut ex = Executor::new();
+//! let mut grad = [0.0f32; 2];
 //! for _ in 0..600 {
 //!     net.zero_grads();
 //!     for (x, t) in &data {
 //!         let input = Tensor::from_vec(vec![2], x.to_vec());
-//!         let logits = net.forward(&input, true);
-//!         let (_, grad) = loss::softmax_cross_entropy(&logits, t);
-//!         net.backward(&grad);
+//!         loss::softmax_cross_entropy_into(ex.forward_train(&mut net, &input), t, &mut grad);
+//!         ex.backward(&mut net, &grad);
 //!     }
 //!     net.apply_gradients(0.5 / data.len() as f32);
 //! }
 //! for (x, t) in &data {
 //!     let input = Tensor::from_vec(vec![2], x.to_vec());
-//!     let p = loss::softmax(net.forward(&input, false).as_slice());
+//!     let p = loss::softmax(ex.infer(&net, &input));
 //!     let predicted = if p[1] > 0.5 { 1 } else { 0 };
 //!     let expected = if t[1] > 0.5 { 1 } else { 0 };
 //!     assert_eq!(predicted, expected);

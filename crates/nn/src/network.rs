@@ -8,7 +8,11 @@ use std::fmt;
 ///
 /// # Examples
 ///
+/// Forward and backward passes run through a planned
+/// [`crate::engine::Executor`]:
+///
 /// ```
+/// use hotspot_nn::engine::Executor;
 /// use hotspot_nn::layers::{Dense, Relu};
 /// use hotspot_nn::{Network, Tensor};
 ///
@@ -16,8 +20,8 @@ use std::fmt;
 /// net.push(Dense::new(4, 8, 0));
 /// net.push(Relu::new());
 /// net.push(Dense::new(8, 2, 1));
-/// let logits = net.forward(&Tensor::zeros(vec![4]), false);
-/// assert_eq!(logits.shape(), &[2]);
+/// let logits = Executor::new().infer(&net, &Tensor::zeros(vec![4])).to_vec();
+/// assert_eq!(logits.len(), 2);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Network {
@@ -55,22 +59,13 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Full forward pass. `train` toggles dropout behaviour.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
     /// Full forward pass in inference mode without mutating any layer
-    /// state — the shared-reference counterpart of `forward(input, false)`.
+    /// state, one [`Layer::forward_inference`] per layer.
     ///
-    /// Bit-identical to `forward(input, false)` (each layer guarantees
-    /// this for [`Layer::forward_inference`]), but callable through `&self`
-    /// so many worker threads can score against one network concurrently
-    /// instead of cloning per-worker replicas.
+    /// Bit-identical to planned inference ([`crate::engine::Executor::infer`])
+    /// and callable through `&self`, so many worker threads can score
+    /// against one network concurrently instead of cloning per-worker
+    /// replicas.
     pub fn forward_inference(&self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &self.layers {
@@ -170,17 +165,6 @@ impl Network {
             std::panic::resume_unwind(payload);
         }
         outputs.into_iter().flatten().collect()
-    }
-
-    /// Full backward pass from a loss gradient; parameter gradients
-    /// accumulate inside each layer. Returns the gradient at the input
-    /// (rarely needed, but exposed per C-INTERMEDIATE).
-    pub fn backward(&mut self, loss_grad: &Tensor) -> Tensor {
-        let mut g = loss_grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     /// Clears all accumulated gradients.
@@ -289,6 +273,7 @@ impl fmt::Display for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
     use crate::layers::{Dense, Flatten, MaxPool2, Relu};
     use crate::loss;
 
@@ -302,8 +287,7 @@ mod tests {
 
     #[test]
     fn forward_shape() {
-        let mut net = tiny_net();
-        let y = net.forward(&Tensor::zeros(vec![3]), false);
+        let y = tiny_net().forward_inference(&Tensor::zeros(vec![3]));
         assert_eq!(y.shape(), &[2]);
     }
 
@@ -316,14 +300,15 @@ mod tests {
     #[test]
     fn gradient_descent_reduces_loss() {
         let mut net = tiny_net();
+        let mut ex = Executor::new();
         let x = Tensor::from_vec(vec![3], vec![0.5, -0.2, 0.8]);
         let target = [0.0f32, 1.0];
-        let (l0, g) = loss::softmax_cross_entropy(&net.forward(&x, true), &target);
+        let mut g = [0.0f32; 2];
         net.zero_grads();
-        let _ = net.forward(&x, true);
-        net.backward(&g);
+        let l0 = loss::softmax_cross_entropy_into(ex.forward_train(&mut net, &x), &target, &mut g);
+        ex.backward(&mut net, &g);
         net.apply_gradients(0.1);
-        let (l1, _) = loss::softmax_cross_entropy(&net.forward(&x, false), &target);
+        let (l1, _) = loss::softmax_cross_entropy(&net.forward_inference(&x), &target);
         assert!(l1 < l0, "loss should decrease: {l0} -> {l1}");
     }
 
@@ -342,7 +327,7 @@ mod tests {
     #[test]
     fn forward_batch_is_bit_identical_to_serial() {
         use crate::Parallelism;
-        let mut net = tiny_net();
+        let net = tiny_net();
         // 70 inputs: tiny_net's suggested block is 64, so every worker
         // partition exercises full blocks plus a ragged tail.
         let inputs: Vec<Tensor> = (0..70)
@@ -355,7 +340,7 @@ mod tests {
                 )
             })
             .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward(x, false)).collect();
+        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward_inference(x)).collect();
         for workers in [1, 2, 3, 8, 64] {
             let batched = net.forward_batch(&inputs, Parallelism::fixed(workers).unwrap());
             assert_eq!(batched, serial, "workers = {workers}");
@@ -372,11 +357,11 @@ mod tests {
         // Regression for the PR 3 `&self`/`Parallelism` convention:
         // several threads batch-scoring through ONE shared `&Network`
         // must compile (no `&mut self`) and agree with the serial loop.
-        let mut net = tiny_net();
+        let net = tiny_net();
         let inputs: Vec<Tensor> = (0..9)
             .map(|i| Tensor::from_vec(vec![3], vec![i as f32 * 0.1, -0.2, 0.3]))
             .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward(x, false)).collect();
+        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward_inference(x)).collect();
         let shared = &net;
         let inputs = &inputs;
         crossbeam::thread::scope(|scope| {
@@ -405,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_inference_is_bit_identical_to_eval_forward() {
+    fn forward_inference_is_bit_identical_to_planned_inference() {
         use crate::layers::{Conv2d, Dropout, Flatten, MaxPool2};
         // Cover every layer kind that appears in the paper architecture,
         // dropout included (identity at inference, no RNG draw).
@@ -424,8 +409,8 @@ mod tests {
         let rng_before = net.rng_states();
         let inferred = net.forward_inference(&x);
         assert_eq!(net.rng_states(), rng_before, "inference must not draw RNG");
-        let reference = net.forward(&x, false);
-        assert_eq!(inferred, reference);
+        let planned = Executor::new().infer(&net, &x).to_vec();
+        assert_eq!(inferred.as_slice(), planned.as_slice());
     }
 
     #[test]
@@ -437,14 +422,19 @@ mod tests {
         net.push(Dense::new(8, 2, 1));
         net.push(Dropout::new(0.3, 9));
         let x = Tensor::from_vec(vec![8], vec![0.25; 8]);
+        let mut ex = Executor::new();
         // Advance the streams, snapshot, advance further.
-        let _ = net.forward(&x, true);
+        let _ = ex.forward_train(&mut net, &x);
         let states = net.rng_states();
         assert_eq!(states.len(), 2);
-        let after: Vec<Tensor> = (0..3).map(|_| net.forward(&x, true)).collect();
+        let after: Vec<Vec<f32>> = (0..3)
+            .map(|_| ex.forward_train(&mut net, &x).to_vec())
+            .collect();
         // Rewind and replay: identical mask sequence.
         net.restore_rng_states(&states).unwrap();
-        let replay: Vec<Tensor> = (0..3).map(|_| net.forward(&x, true)).collect();
+        let replay: Vec<Vec<f32>> = (0..3)
+            .map(|_| ex.forward_train(&mut net, &x).to_vec())
+            .collect();
         assert_eq!(after, replay);
         // Wrong cardinality is rejected.
         assert!(net.restore_rng_states(&states[..1]).is_err());
@@ -454,10 +444,11 @@ mod tests {
     #[test]
     fn zero_grads_clears() {
         let mut net = tiny_net();
-        let x = Tensor::zeros(vec![3]);
-        let y = net.forward(&x, true);
-        let (_, g) = loss::softmax_cross_entropy(&y, &[1.0, 0.0]);
-        net.backward(&g);
+        let mut ex = Executor::new();
+        let mut g = [0.0f32; 2];
+        let y = ex.forward_train(&mut net, &Tensor::zeros(vec![3]));
+        let _ = loss::softmax_cross_entropy_into(y, &[1.0, 0.0], &mut g);
+        ex.backward(&mut net, &g);
         assert!(net.grad_abs_max() > 0.0);
         net.zero_grads();
         assert_eq!(net.grad_abs_max(), 0.0);

@@ -19,8 +19,7 @@ pub fn sgd_step(net: &mut Network, instance: &Instance, lr: f32) -> f32 {
 ///
 /// Each sample runs through a shape-planned [`crate::engine::Executor`],
 /// so after the first sample warms the workspace the whole batch performs
-/// no per-sample allocation — and the results stay bit-identical to the
-/// historical per-tensor path (the planned engine's contract).
+/// no per-sample allocation.
 ///
 /// # Panics
 ///
@@ -145,21 +144,24 @@ impl LrSchedule {
 /// # Examples
 ///
 /// ```
+/// use hotspot_nn::engine::Executor;
 /// use hotspot_nn::layers::Dense;
 /// use hotspot_nn::optim::Momentum;
 /// use hotspot_nn::{loss, Network, Tensor};
 ///
 /// let mut net = Network::new();
 /// net.push(Dense::new(2, 2, 0));
+/// let mut ex = Executor::new();
 /// let mut optim = Momentum::new(0.9);
 /// let x = Tensor::from_vec(vec![2], vec![1.0, -1.0]);
+/// let mut grad = [0.0f32; 2];
 /// for _ in 0..20 {
 ///     net.zero_grads();
-///     let (_, g) = loss::softmax_cross_entropy(&net.forward(&x, true), &[0.0, 1.0]);
-///     net.backward(&g);
+///     loss::softmax_cross_entropy_into(ex.forward_train(&mut net, &x), &[0.0, 1.0], &mut grad);
+///     ex.backward(&mut net, &grad);
 ///     optim.step(&mut net, 0.1);
 /// }
-/// let p = loss::softmax(net.forward(&x, false).as_slice());
+/// let p = loss::softmax(ex.infer(&net, &x));
 /// assert!(p[1] > 0.9);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -219,6 +221,7 @@ impl Momentum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Executor;
     use crate::layers::{Dense, Relu};
 
     fn net() -> Network {
@@ -258,7 +261,7 @@ mod tests {
             let _ = minibatch_step(&mut n, &data, 0.2);
         }
         for (x, t) in &data {
-            let p = loss::softmax(n.forward(x, false).as_slice());
+            let p = loss::softmax(n.forward_inference(x).as_slice());
             assert_eq!(p[1] > 0.5, t[1] > 0.5);
         }
     }
@@ -332,15 +335,20 @@ mod tests {
         let inst = instance([1.0, -0.5], [0.0, 1.0]);
         let loss_after = |steps: usize, mu: f32| {
             let mut n = net();
+            let mut ex = Executor::new();
             let mut optim = Momentum::new(mu);
+            let mut g = [0.0f32; 2];
             for _ in 0..steps {
                 n.zero_grads();
-                let logits = n.forward(&inst.0, true);
-                let (_, g) = crate::loss::softmax_cross_entropy(&logits, &inst.1);
-                n.backward(&g);
+                let _ = loss::softmax_cross_entropy_into(
+                    ex.forward_train(&mut n, &inst.0),
+                    &inst.1,
+                    &mut g,
+                );
+                ex.backward(&mut n, &g);
                 optim.step(&mut n, 0.02);
             }
-            let (l, _) = crate::loss::softmax_cross_entropy(&n.forward(&inst.0, false), &inst.1);
+            let (l, _) = loss::softmax_cross_entropy(&n.forward_inference(&inst.0), &inst.1);
             l
         };
         let plain = loss_after(40, 0.0);
@@ -353,16 +361,21 @@ mod tests {
         let inst = instance([0.4, 0.2], [1.0, 0.0]);
         let mut a = net();
         let mut b = net();
+        let mut ex = Executor::new();
         let mut optim = Momentum::new(0.0);
+        let mut g = [0.0f32; 2];
         for _ in 0..5 {
             let _ = sgd_step(&mut a, &inst, 0.05);
             b.zero_grads();
-            let logits = b.forward(&inst.0, true);
-            let (_, g) = crate::loss::softmax_cross_entropy(&logits, &inst.1);
-            b.backward(&g);
+            let _ = loss::softmax_cross_entropy_into(
+                ex.forward_train(&mut b, &inst.0),
+                &inst.1,
+                &mut g,
+            );
+            ex.backward(&mut b, &g);
             optim.step(&mut b, 0.05);
         }
-        assert_eq!(a.forward(&inst.0, false), b.forward(&inst.0, false));
+        assert_eq!(a.forward_inference(&inst.0), b.forward_inference(&inst.0));
     }
 
     #[test]

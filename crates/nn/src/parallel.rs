@@ -14,11 +14,8 @@
 //! shape-planned arena path: the plan and workspace are built on the
 //! first step and reused for every step after (plans depend only on
 //! shapes, so parameter syncs never invalidate them).
-//! [`minibatch_step_parallel`] remains as the standalone entry point for
-//! one-shot callers.
 
 use crate::engine::Executor;
-use crate::optim::Instance;
 use crate::{loss, Network, Tensor};
 
 /// Reusable per-worker network replicas for parallel training.
@@ -214,45 +211,11 @@ pub fn minibatch_step_pooled(
     losses.iter().sum::<f32>() / batch.len() as f32
 }
 
-/// Runs one averaged mini-batch gradient step with the batch partitioned
-/// across `threads` workers (`threads = 1` falls back to the serial path
-/// of [`crate::optim::minibatch_step`] semantics).
-///
-/// Gradient merging is ordered by worker index, so the update — and any
-/// training run built on it — is deterministic.
-///
-/// This builds a fresh [`ReplicaPool`] per call; loops should hold their
-/// own pool and call [`minibatch_step_pooled`] instead.
-///
-/// Returns the mean batch loss.
-///
-/// # Panics
-///
-/// Panics on an empty batch or `threads == 0`.
-pub fn minibatch_step_parallel(
-    net: &mut Network,
-    batch: &[&Instance],
-    lr: f32,
-    threads: usize,
-) -> f32 {
-    assert!(!batch.is_empty(), "empty mini-batch");
-    assert!(threads > 0, "threads must be nonzero");
-    let threads = threads.min(batch.len());
-    let pairs: Vec<(&Tensor, [f32; 2])> = batch.iter().map(|(x, t)| (x, *t)).collect();
-    // The serial path never touches the replicas, so a pool of the empty
-    // network is enough to avoid cloning `net` when threads == 1.
-    let mut pool = if threads == 1 {
-        ReplicaPool::new(&Network::new(), 1)
-    } else {
-        ReplicaPool::new(net, threads)
-    };
-    minibatch_step_pooled(net, &mut pool, &pairs, lr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu};
+    use crate::optim::Instance;
     use crate::serialize::ParameterBlob;
     use crate::Tensor;
 
@@ -280,14 +243,29 @@ mod tests {
             .collect()
     }
 
+    fn pairs(data: &[Instance]) -> Vec<(&Tensor, [f32; 2])> {
+        data.iter().map(|(x, t)| (x, *t)).collect()
+    }
+
+    /// One step on a pool of `threads` replicas built for this step alone.
+    fn step_fresh_pool(
+        n: &mut Network,
+        batch: &[(&Tensor, [f32; 2])],
+        lr: f32,
+        threads: usize,
+    ) -> f32 {
+        let mut pool = ReplicaPool::new(n, threads);
+        minibatch_step_pooled(n, &mut pool, batch, lr)
+    }
+
     #[test]
     fn parallel_matches_serial_update_closely() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let pairs = pairs(&data);
         let mut serial = net(5);
         let mut parallel = net(5);
-        let l1 = minibatch_step_parallel(&mut serial, &refs, 0.1, 1);
-        let l4 = minibatch_step_parallel(&mut parallel, &refs, 0.1, 4);
+        let l1 = step_fresh_pool(&mut serial, &pairs, 0.1, 1);
+        let l4 = step_fresh_pool(&mut parallel, &pairs, 0.1, 4);
         assert!((l1 - l4).abs() < 1e-5, "losses differ: {l1} vs {l4}");
         let ws = ParameterBlob::from_network(&mut serial);
         let wp = ParameterBlob::from_network(&mut parallel);
@@ -300,11 +278,11 @@ mod tests {
     #[test]
     fn parallel_is_deterministic_across_runs() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let pairs = pairs(&data);
         let run = || {
             let mut n = net(9);
             for _ in 0..5 {
-                minibatch_step_parallel(&mut n, &refs, 0.05, 3);
+                step_fresh_pool(&mut n, &pairs, 0.05, 3);
             }
             ParameterBlob::from_network(&mut n)
         };
@@ -314,14 +292,13 @@ mod tests {
     #[test]
     fn pooled_steps_match_fresh_replica_steps() {
         let data = batch();
-        let pairs: Vec<(&Tensor, [f32; 2])> = data.iter().map(|(x, t)| (x, *t)).collect();
-        let refs: Vec<&Instance> = data.iter().collect();
+        let pairs = pairs(&data);
 
         let mut fresh = net(11);
         let mut pooled = net(11);
         let mut pool = ReplicaPool::new(&pooled, 3);
         for _ in 0..4 {
-            let lf = minibatch_step_parallel(&mut fresh, &refs, 0.05, 3);
+            let lf = step_fresh_pool(&mut fresh, &pairs, 0.05, 3);
             let lp = minibatch_step_pooled(&mut pooled, &mut pool, &pairs, 0.05);
             assert_eq!(lf, lp, "pooled step must be bit-identical");
         }
@@ -340,9 +317,8 @@ mod tests {
     #[test]
     fn more_threads_than_samples_is_fine() {
         let data = batch();
-        let refs: Vec<&Instance> = data.iter().take(2).collect();
         let mut n = net(1);
-        let l = minibatch_step_parallel(&mut n, &refs, 0.1, 16);
+        let l = step_fresh_pool(&mut n, &pairs(&data[..2]), 0.1, 16);
         assert!(l.is_finite());
     }
 
@@ -350,15 +326,12 @@ mod tests {
     #[should_panic(expected = "empty mini-batch")]
     fn empty_batch_panics() {
         let mut n = net(0);
-        let _ = minibatch_step_parallel(&mut n, &[], 0.1, 2);
+        let _ = step_fresh_pool(&mut n, &[], 0.1, 2);
     }
 
     #[test]
     #[should_panic(expected = "threads must be nonzero")]
     fn zero_threads_panics() {
-        let data = batch();
-        let refs: Vec<&Instance> = data.iter().collect();
-        let mut n = net(0);
-        let _ = minibatch_step_parallel(&mut n, &refs, 0.1, 0);
+        let _ = ReplicaPool::new(&net(0), 0);
     }
 }

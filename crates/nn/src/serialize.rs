@@ -207,9 +207,9 @@ mod tests {
         let blob = ParameterBlob::from_network(&mut a);
         let mut b = net(2);
         let x = Tensor::from_vec(vec![4], vec![0.1, -0.5, 0.3, 0.9]);
-        assert_ne!(a.forward(&x, false), b.forward(&x, false));
+        assert_ne!(a.forward_inference(&x), b.forward_inference(&x));
         blob.load_into(&mut b).unwrap();
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(a.forward_inference(&x), b.forward_inference(&x));
     }
 
     #[test]

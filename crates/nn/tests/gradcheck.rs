@@ -2,8 +2,11 @@
 //!
 //! Every layer's analytic backward pass is checked against central
 //! differences of the end-to-end loss — the strongest correctness evidence
-//! a from-scratch autodiff substrate can carry.
+//! a from-scratch autodiff substrate can carry. Analytic gradients come
+//! from the planned training pass (`Executor::forward_train` + `backward`),
+//! the same path the trainers run.
 
+use hotspot_nn::engine::Executor;
 use hotspot_nn::layers::{AvgPool2, Conv2d, Dense, Flatten, MaxPool2, Relu, Sigmoid, Tanh};
 use hotspot_nn::{loss, Network, Tensor};
 use rand::rngs::StdRng;
@@ -23,10 +26,19 @@ fn random_input(shape: Vec<usize>, seed: u64) -> Tensor {
 
 /// Computes the scalar loss of `net` on `(x, target)` without mutating
 /// gradients.
-fn loss_of(net: &mut Network, x: &Tensor, target: &[f32; 2]) -> f64 {
-    let logits = net.forward(x, false);
-    let (l, _) = loss::softmax_cross_entropy(&logits, target);
+fn loss_of(net: &Network, x: &Tensor, target: &[f32; 2]) -> f64 {
+    let (l, _) = loss::softmax_cross_entropy(&net.forward_inference(x), target);
     l as f64
+}
+
+/// One planned training pass: accumulates the parameter gradients of the
+/// loss on `(x, target)` into `net` and returns ∂loss/∂input.
+fn analytic_pass(net: &mut Network, x: &Tensor, target: &[f32; 2]) -> Vec<f32> {
+    let mut ex = Executor::new();
+    let mut g = [0.0f32; 2];
+    net.zero_grads();
+    let _ = loss::softmax_cross_entropy_into(ex.forward_train(net, x), target, &mut g);
+    ex.backward(net, &g).to_vec()
 }
 
 /// Checks analytic parameter gradients against central finite differences.
@@ -36,10 +48,7 @@ fn check_param_gradients(mut net: Network, x: Tensor, stride: usize) {
     let target = [0.3f32, 0.7];
 
     // Analytic gradients.
-    net.zero_grads();
-    let logits = net.forward(&x, false);
-    let (_, g) = loss::softmax_cross_entropy(&logits, &target);
-    net.backward(&g);
+    let _ = analytic_pass(&mut net, &x, &target);
     let mut analytic = Vec::new();
     net.visit_params(&mut |_, g| analytic.extend_from_slice(g));
 
@@ -64,9 +73,9 @@ fn check_param_gradients(mut net: Network, x: Tensor, stride: usize) {
             });
         };
         perturb(&mut net, EPS as f32);
-        let lp = loss_of(&mut net, &x, &target);
+        let lp = loss_of(&net, &x, &target);
         perturb(&mut net, -2.0 * EPS as f32);
-        let lm = loss_of(&mut net, &x, &target);
+        let lm = loss_of(&net, &x, &target);
         perturb(&mut net, EPS as f32);
         let fd = (lp - lm) / (2.0 * EPS);
         let an = analytic[param_start] as f64;
@@ -89,23 +98,20 @@ fn check_param_gradients(mut net: Network, x: Tensor, stride: usize) {
     );
 }
 
-/// Checks the input gradient returned by `Network::backward`.
+/// Checks the input gradient returned by `Executor::backward`.
 fn check_input_gradient(mut net: Network, x: Tensor) {
     let target = [0.8f32, 0.2];
-    net.zero_grads();
-    let logits = net.forward(&x, false);
-    let (_, g) = loss::softmax_cross_entropy(&logits, &target);
-    let gin = net.backward(&g);
+    let gin = analytic_pass(&mut net, &x, &target);
 
     for i in (0..x.len()).step_by(7) {
         let mut xp = x.clone();
         xp.as_mut_slice()[i] += EPS as f32;
-        let lp = loss_of(&mut net, &xp, &target);
+        let lp = loss_of(&net, &xp, &target);
         let mut xm = x.clone();
         xm.as_mut_slice()[i] -= EPS as f32;
-        let lm = loss_of(&mut net, &xm, &target);
+        let lm = loss_of(&net, &xm, &target);
         let fd = (lp - lm) / (2.0 * EPS);
-        let an = gin.as_slice()[i] as f64;
+        let an = gin[i] as f64;
         let err = (fd - an).abs() / fd.abs().max(an.abs()).max(0.05);
         assert!(
             err < TOL,

@@ -13,6 +13,7 @@
 
 use crate::engine::{Control, Engine, EngineConfig, ServeModel, DEFAULT_QUEUE_CAPACITY};
 use crate::ServerError;
+use hotspot_core::api::{ApiError, ErrorKind};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -26,6 +27,15 @@ const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 /// Read timeout on connection sockets, so idle readers notice shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line a connection may send, newline excluded. A longer
+/// line gets one `data` error reply and the connection is closed, so one
+/// client cannot grow daemon memory without bound. The largest requests
+/// seen in practice are far below it: `tools/serve_smoke.sh` sends at
+/// most ~4.1 KB (a predict of its whole test split) and the benchmark's
+/// serve session ~2.0 KB (a four-clip predict); a scan of a 52×52-tile
+/// `genlayout` chip is ~0.8 MB.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,12 +117,15 @@ impl Server {
                 let engine = engine.clone();
                 move || engine.run_batcher()
             })?;
-        let mut handlers = Vec::new();
+        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         let mut accept_error = None;
         while !engine.is_shutdown() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let engine = engine.clone();
+                    // Reap closed connections so a long-lived daemon does
+                    // not keep one handle per connection it ever served.
+                    handlers.retain(|h| !h.is_finished());
                     handlers.push(
                         thread::Builder::new()
                             .name("hotspot-conn".into())
@@ -141,30 +154,49 @@ impl Server {
 }
 
 /// Reads newline-delimited request lines, writes one reply line each.
+/// A line longer than [`MAX_LINE_BYTES`] is answered with a `data` error
+/// and ends the connection.
 fn handle_connection(engine: &Engine, stream: UnixStream) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
     let mut reader = &stream;
-    let mut writer = &stream;
+    let writer = &stream;
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
         match reader.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => {
+                // Bytes before `from` hold no newline: scan only new ones,
+                // so a long line costs linear, not quadratic, time.
+                let mut from = buf.len();
                 buf.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                loop {
+                    let pos = buf[from..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map(|p| from + p);
+                    if pos.unwrap_or(buf.len()) > MAX_LINE_BYTES {
+                        let reply = engine.error_reply(
+                            None,
+                            ApiError::new(
+                                ErrorKind::Data,
+                                format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                            ),
+                        );
+                        let _ = write_line(writer, &reply);
+                        return;
+                    }
+                    let Some(pos) = pos else { break };
                     let line: Vec<u8> = buf.drain(..=pos).collect();
+                    from = 0;
                     let line = String::from_utf8_lossy(&line[..line.len() - 1]);
                     if line.trim().is_empty() {
                         continue;
                     }
                     let (reply, control) = engine.handle_line(&line);
-                    if writer.write_all(reply.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
+                    if write_line(writer, &reply).is_err() {
                         return;
                     }
                     if control == Control::Shutdown {
@@ -185,6 +217,13 @@ fn handle_connection(engine: &Engine, stream: UnixStream) {
             Err(_) => return,
         }
     }
+}
+
+/// Writes one reply line and flushes it.
+fn write_line(mut writer: &UnixStream, reply: &str) -> io::Result<()> {
+    writer.write_all(reply.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
 }
 
 /// A persistent client connection for streaming requests.

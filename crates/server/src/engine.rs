@@ -477,7 +477,8 @@ impl Engine {
         .render()
     }
 
-    fn error_reply(&self, id: Option<String>, e: ApiError) -> String {
+    /// Renders `e` as a reply line and counts it in the error counters.
+    pub(crate) fn error_reply(&self, id: Option<String>, e: ApiError) -> String {
         self.errors.fetch_add(1, Ordering::Relaxed);
         if e.kind == ErrorKind::Busy {
             self.rejected_busy.fetch_add(1, Ordering::Relaxed);

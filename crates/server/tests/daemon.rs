@@ -208,3 +208,52 @@ fn concurrent_clients_stay_bit_identical_across_midstream_reload() {
         std::fs::remove_file(path).unwrap();
     }
 }
+
+#[test]
+fn oversize_request_line_gets_one_data_error_then_close() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let model = common::model_with_seed(31, 4);
+    let path = common::write_temp("daemon-cap.hsmodel", &model.to_bytes());
+    let socket =
+        std::env::temp_dir().join(format!("hotspot-daemon-cap-{}.sock", std::process::id()));
+    let server = Server::bind(
+        ServeModel::load(path.to_str().unwrap(), None).unwrap(),
+        &ServerConfig::new(&socket),
+    )
+    .unwrap();
+    let daemon = thread::spawn(move || server.run().unwrap());
+    wait_for_socket(&socket);
+
+    // One byte past the cap and no newline: the daemon must answer
+    // without waiting for the line to end, then hang up.
+    let mut stream = UnixStream::connect(&socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(&vec![b'x'; hotspot_server::daemon::MAX_LINE_BYTES + 1])
+        .unwrap();
+    let mut received = String::new();
+    stream.read_to_string(&mut received).unwrap();
+    let lines: Vec<&str> = received.lines().collect();
+    assert_eq!(
+        lines.len(),
+        1,
+        "exactly one reply before close: {received:?}"
+    );
+    let err = ErrorReply::parse(lines[0]).unwrap();
+    assert_eq!(err.error.kind, hotspot_core::api::ErrorKind::Data);
+    assert_eq!(err.id, None);
+
+    // The daemon keeps serving other connections and counts the error.
+    let status_line = Request::Status { id: "st".into() }.render();
+    let status = StatusResponse::parse(&client_roundtrip(&socket, &status_line).unwrap()).unwrap();
+    assert_eq!(status.counters.errors, 1);
+
+    let shutdown = Request::Shutdown { id: "bye".into() }.render();
+    client_roundtrip(&socket, &shutdown).unwrap();
+    daemon.join().unwrap();
+    std::fs::remove_file(path).unwrap();
+}
