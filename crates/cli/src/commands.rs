@@ -1,24 +1,22 @@
 //! The `hotspot` subcommands, exposed as functions so tests can drive them
 //! without spawning processes. Each returns the text it would print.
 
-use crate::model_file::ModelFile;
 use crate::CliError;
 use hotspot_bench::ExperimentArgs;
 use hotspot_core::api::{ClipSpec, Json, PredictRequest, ReloadRequest, Request, ScanRequest};
 use hotspot_core::biased::CheckpointEvent;
-use hotspot_core::checkpoint::write_atomic;
 use hotspot_core::detector::{DetectorConfig, HotspotDetector};
 use hotspot_core::metrics::EvalResult;
 use hotspot_core::{
     ActiveConfig, CascadeConfig, CascadePrefilter, Checkpoint, CoreError, FeaturePipeline,
-    Parallelism, RunIdentity, ScanConfig,
+    ModelFile, Parallelism, RunIdentity, ScanConfig,
 };
 use hotspot_datagen::suite::SuiteSpec;
 use hotspot_datagen::{ClipPool, Dataset, LayoutSpec, Manifest, PatternKind, Sample};
 use hotspot_geometry::io::{read_clips, write_clips};
 use hotspot_geometry::Clip;
 use hotspot_litho::{LithoConfig, LithoLabeler, LithoSimulator};
-use hotspot_nn::serialize::ParameterBlob;
+use hotspot_nn::serialize::{write_atomic, ParameterBlob};
 use hotspot_server::{client_roundtrip, ServeModel, Server, ServerConfig};
 use std::fs;
 use std::path::Path;

@@ -12,10 +12,9 @@
 //!
 //! Clips use the text format of [`hotspot_geometry::io`]; labels are one
 //! `0`/`1` per line, aligned with the clip records; models are
-//! self-describing binary files ([`model_file`]).
+//! self-describing binary files ([`hotspot_core::model_file`]).
 
 pub mod commands;
-pub mod model_file;
 
 use std::error::Error;
 use std::fmt;

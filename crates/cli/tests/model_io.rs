@@ -2,7 +2,7 @@
 //! round-trips exactly, and corrupted bytes are either rejected or decode
 //! to the identical model — never silently to a different one.
 
-use hotspot_cli::model_file::ModelFile;
+use hotspot_core::ModelFile;
 use hotspot_nn::layers::Dense;
 use hotspot_nn::serialize::ParameterBlob;
 use hotspot_nn::Network;

@@ -29,6 +29,7 @@ use hotspot_baselines::{AdaBoost, AdaBoostConfig, CalibratedAdaBoost, Classifier
 use hotspot_datagen::Dataset;
 use hotspot_features::density_feature;
 use hotspot_geometry::raster;
+use hotspot_nn::serialize::{crc32, dec_field};
 
 /// How to train and calibrate a cascade prefilter.
 ///
@@ -269,7 +270,7 @@ impl CascadePrefilter {
     /// CRC-32 (IEEE) of the serialised prefilter — its identity for
     /// provenance tracking ([`crate::api::ModelProvenance::cascade_crc`]).
     pub fn crc(&self) -> u32 {
-        hotspot_nn::serialize::crc32(&self.to_bytes())
+        crc32(&self.to_bytes())
     }
 
     /// Serialises the prefilter: a two-line `hsprefilter` header followed
@@ -287,37 +288,28 @@ impl CascadePrefilter {
     /// Returns [`CoreError::Prefilter`] on a malformed header, a corrupt
     /// or truncated model payload, or a grid/feature-length disagreement.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CoreError> {
-        let bad = |why: &str| CoreError::Prefilter(format!("prefilter file: {why}"));
+        let bad = |why: String| CoreError::Prefilter(format!("prefilter file: {why}"));
         let header_end = data
             .iter()
             .enumerate()
             .filter(|(_, &b)| b == b'\n')
             .nth(1)
             .map(|(i, _)| i + 1)
-            .ok_or_else(|| bad("missing header"))?;
-        let header =
-            std::str::from_utf8(&data[..header_end]).map_err(|_| bad("header is not UTF-8"))?;
-        let mut lines = header.lines();
-        match lines
-            .next()
-            .map(|l| l.split_whitespace().collect::<Vec<_>>())
-        {
-            Some(parts) if parts.first() == Some(&"hsprefilter") => {
-                if parts.get(1) != Some(&"1") {
-                    return Err(bad("unsupported version"));
-                }
+            .ok_or_else(|| bad("missing header".into()))?;
+        let header = std::str::from_utf8(&data[..header_end])
+            .map_err(|_| bad("header is not UTF-8".into()))?;
+        let mut lines = header.lines().map(str::split_whitespace);
+        let mut field = |key: &str| {
+            let mut parts = lines.next().into_iter().flatten();
+            match parts.next() {
+                Some(k) if k == key => dec_field::<usize>(key, parts.next()),
+                _ => Err(format!("missing {key} line")),
             }
-            _ => return Err(bad("missing hsprefilter magic")),
-        }
-        let grid_dim: usize = match lines
-            .next()
-            .map(|l| l.split_whitespace().collect::<Vec<_>>())
-        {
-            Some(parts) if parts.len() == 2 && parts[0] == "grid" => parts[1]
-                .parse()
-                .map_err(|_| bad("grid value is not a number"))?,
-            _ => return Err(bad("missing grid line")),
         };
+        if field("hsprefilter").map_err(bad)? != 1 {
+            return Err(bad("unsupported version".into()));
+        }
+        let grid_dim = field("grid").map_err(bad)?;
         let calibrated = CalibratedAdaBoost::from_bytes(&data[header_end..])?;
         CascadePrefilter::new(calibrated, grid_dim)
     }

@@ -20,36 +20,33 @@
 //! replays the training-set growth in the identical order. Version-1 files
 //! load unchanged (no active section).
 //!
-//! The CRC-32 (IEEE, shared with [`hotspot_nn::serialize`]) is computed
-//! over the payload, so any single-byte corruption — truncation, bit flip,
-//! bad length — is detected on load instead of silently resuming from a
-//! different state. Decoding never panics and validates every declared
-//! length against the remaining bytes *before* allocating.
+//! The header is the shared [`Frame`] (declared count = payload bytes),
+//! so any single-byte corruption — truncation, bit flip, bad length — is
+//! detected on load instead of silently resuming from a different state.
+//! Decoding never panics and validates every declared length against the
+//! remaining bytes *before* allocating.
 //!
 //! # Durability contract
 //!
-//! [`write_atomic`] writes to a temporary file in the destination
-//! directory, fsyncs it, then renames it over the target (and fsyncs the
-//! directory on Unix). A crash at any point leaves either the previous
-//! checkpoint or the new one — never a torn file.
+//! [`Checkpoint::save`] goes through [`write_atomic`]: a crash at any
+//! point leaves either the previous checkpoint or the new one — never a
+//! torn file.
 
 use crate::biased::{BiasRound, BiasedResume};
 use crate::mgd::{TrainPoint, TrainerState};
 use crate::{CoreError, TrainReport};
-use hotspot_nn::serialize::{crc32, ParameterBlob};
+use hotspot_nn::serialize::{write_atomic, Frame, ParameterBlob, Reader};
 use hotspot_nn::Network;
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
-/// Checkpoint wire-format magic.
-const MAGIC: &[u8; 4] = b"HSCK";
-/// Checkpoint wire-format version written by [`Checkpoint::to_bytes`].
-const VERSION: u32 = 2;
-/// Oldest checkpoint version [`Checkpoint::from_bytes`] still reads.
-const MIN_VERSION: u32 = 1;
-/// Bytes before the payload: magic + version + crc + payload length.
-const HEADER_LEN: usize = 20;
+/// Checkpoint frame: writes version 2, still reads version 1.
+const FRAME: Frame = Frame {
+    magic: b"HSCK",
+    min_version: 1,
+    version: 2,
+    unit: 1,
+};
 
 /// One completed active-learning acquisition round: which pool indices
 /// were selected and the oracle labels they received.
@@ -221,13 +218,7 @@ impl Checkpoint {
                 }
             }
         }
-        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-        buf.extend_from_slice(MAGIC);
-        put_u32(&mut buf, VERSION);
-        put_u32(&mut buf, crc32(&payload));
-        put_u64(&mut buf, payload.len() as u64);
-        buf.extend_from_slice(&payload);
-        buf
+        FRAME.encode(&payload)
     }
 
     /// Decodes a buffer produced by [`Checkpoint::to_bytes`].
@@ -238,75 +229,7 @@ impl Checkpoint {
     /// or version, length or checksum mismatch, or any malformed section —
     /// decoding never panics and never silently accepts corrupted state.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CoreError> {
-        if data.len() < HEADER_LEN {
-            return Err(bad(format!(
-                "buffer too short for header: {} bytes",
-                data.len()
-            )));
-        }
-        if &data[..4] != MAGIC {
-            return Err(bad("bad magic (expected \"HSCK\")".into()));
-        }
-        let mut header = Reader::new(&data[4..HEADER_LEN]);
-        let version = header.u32()?;
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(bad(format!(
-                "unsupported checkpoint version {version} (expected {MIN_VERSION}..={VERSION})"
-            )));
-        }
-        let crc_declared = header.u32()?;
-        let payload_len = header.u64()?;
-        let payload = &data[HEADER_LEN..];
-        if payload_len != payload.len() as u64 {
-            return Err(bad(format!(
-                "declared payload length {payload_len} does not match actual {} bytes",
-                payload.len()
-            )));
-        }
-        let crc_actual = crc32(payload);
-        if crc_actual != crc_declared {
-            return Err(bad(format!(
-                "payload checksum mismatch: stored {crc_declared:#010x}, computed {crc_actual:#010x}"
-            )));
-        }
-        let mut r = Reader::new(payload);
-        let seed = r.u64()?;
-        let threads = r.u32()?;
-        let tag = r.string()?;
-        let params = r.blob()?;
-        let net_rngs = r.rngs()?;
-        let round_count = r.count(4)?; // ε alone costs 4 bytes per round
-        let mut completed = Vec::with_capacity(round_count);
-        for _ in 0..round_count {
-            let epsilon = r.f32()?;
-            let report = r.report()?;
-            completed.push(BiasRound { epsilon, report });
-        }
-        let trainer = match r.u8()? {
-            0 => None,
-            1 => Some(r.trainer()?),
-            flag => return Err(bad(format!("invalid trainer-presence flag {flag}"))),
-        };
-        let active = if version >= 2 {
-            match r.u8()? {
-                0 => None,
-                1 => Some(r.active()?),
-                flag => return Err(bad(format!("invalid active-presence flag {flag}"))),
-            }
-        } else {
-            None
-        };
-        r.finish()?;
-        Ok(Checkpoint {
-            seed,
-            threads,
-            tag,
-            params,
-            net_rngs,
-            completed,
-            trainer,
-            active,
-        })
+        decode(data).map_err(CoreError::Checkpoint)
     }
 
     /// Atomically persists the checkpoint to `path` (see [`write_atomic`]).
@@ -316,7 +239,7 @@ impl Checkpoint {
     /// Returns [`CoreError::Checkpoint`] wrapping the I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), CoreError> {
         write_atomic(path, &self.to_bytes())
-            .map_err(|e| bad(format!("writing {}: {e}", path.display())))
+            .map_err(|e| CoreError::Checkpoint(format!("writing {}: {e}", path.display())))
     }
 
     /// Loads and verifies a checkpoint from `path`.
@@ -326,48 +249,10 @@ impl Checkpoint {
     /// Returns [`CoreError::Checkpoint`] for I/O failures and every decode
     /// failure of [`Checkpoint::from_bytes`].
     pub fn load(path: &Path) -> Result<Self, CoreError> {
-        let data = fs::read(path).map_err(|e| bad(format!("reading {}: {e}", path.display())))?;
+        let data = fs::read(path)
+            .map_err(|e| CoreError::Checkpoint(format!("reading {}: {e}", path.display())))?;
         Checkpoint::from_bytes(&data)
     }
-}
-
-/// Writes `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory (Unix). Readers see
-/// either the previous complete file or the new complete file, never a
-/// partial write.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error; the temp file is removed on
-/// failure (best effort).
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    let result = (|| {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        #[cfg(unix)]
-        if let Some(dir) = dir {
-            // Make the rename itself durable: fsync the directory entry.
-            fs::File::open(dir)?.sync_all()?;
-        }
-        #[cfg(not(unix))]
-        let _ = dir;
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = fs::remove_file(&tmp);
-    }
-    result
-}
-
-fn bad(why: String) -> CoreError {
-    CoreError::Checkpoint(why)
 }
 
 // ---- encoding helpers -------------------------------------------------
@@ -446,184 +331,136 @@ fn put_trainer(buf: &mut Vec<u8>, state: &TrainerState) {
     put_rngs(buf, &state.replica_rngs);
 }
 
-// ---- hardened decoding ------------------------------------------------
+// ---- decoding ---------------------------------------------------------
 
-/// A non-panicking cursor over the checkpoint payload: every read checks
-/// the remaining length first, and every declared element count is
-/// validated against the remaining bytes before allocation.
-struct Reader<'a> {
-    data: &'a [u8],
+fn decode(data: &[u8]) -> Result<Checkpoint, String> {
+    let (version, payload) = FRAME.decode(data)?;
+    let mut r = Reader::new(payload);
+    let seed = r.u64()?;
+    let threads = r.u32()?;
+    let len = r.count(1)?;
+    let tag = String::from_utf8(r.take(len)?.to_vec())
+        .map_err(|_| "tag is not valid UTF-8".to_string())?;
+    let params = blob(&mut r)?;
+    let net_rngs = rngs(&mut r)?;
+    let round_count = r.count(4)?; // ε alone costs 4 bytes per round
+    let mut completed = Vec::with_capacity(round_count);
+    for _ in 0..round_count {
+        let epsilon = r.f32()?;
+        let report = report(&mut r)?;
+        completed.push(BiasRound { epsilon, report });
+    }
+    let trainer = match r.u8()? {
+        0 => None,
+        1 => Some(trainer(&mut r)?),
+        flag => return Err(format!("invalid trainer-presence flag {flag}")),
+    };
+    let active = if version >= 2 {
+        match r.u8()? {
+            0 => None,
+            1 => Some(active(&mut r)?),
+            flag => return Err(format!("invalid active-presence flag {flag}")),
+        }
+    } else {
+        None
+    };
+    r.finish()?;
+    Ok(Checkpoint {
+        seed,
+        threads,
+        tag,
+        params,
+        net_rngs,
+        completed,
+        trainer,
+        active,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data }
-    }
+fn blob(r: &mut Reader) -> Result<ParameterBlob, String> {
+    let len = r.usize64()?;
+    ParameterBlob::from_bytes(r.take(len)?).map_err(|e| format!("embedded parameter blob: {e}"))
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        if self.data.len() < n {
-            return Err(bad(format!(
-                "truncated payload: wanted {n} bytes, {} remain",
-                self.data.len()
-            )));
-        }
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
+fn rngs(r: &mut Reader) -> Result<Vec<[u64; 4]>, String> {
+    let count = r.count(32)?;
+    let mut rngs = Vec::with_capacity(count);
+    for _ in 0..count {
+        rngs.push([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
     }
+    Ok(rngs)
+}
 
-    fn u8(&mut self) -> Result<u8, CoreError> {
-        Ok(self.take(1)?[0])
+fn history(r: &mut Reader) -> Result<Vec<TrainPoint>, String> {
+    let count = r.count(24)?;
+    let mut history = Vec::with_capacity(count);
+    for _ in 0..count {
+        history.push(TrainPoint {
+            step: r.usize64()?,
+            elapsed_s: r.f64()?,
+            val_accuracy: r.f64()?,
+        });
     }
+    Ok(history)
+}
 
-    fn u32(&mut self) -> Result<u32, CoreError> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(raw))
-    }
+fn report(r: &mut Reader) -> Result<TrainReport, String> {
+    Ok(TrainReport {
+        history: history(r)?,
+        best_val_accuracy: r.f64()?,
+        steps: r.usize64()?,
+        train_time_s: r.f64()?,
+    })
+}
 
-    fn u64(&mut self) -> Result<u64, CoreError> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(raw))
-    }
+fn trainer(r: &mut Reader) -> Result<TrainerState, String> {
+    Ok(TrainerState {
+        epsilon: r.f32()?,
+        steps: r.usize64()?,
+        lr: r.f32()?,
+        lr_counter: r.usize64()?,
+        batch_rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+        sampler_rng: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
+        params: blob(r)?,
+        best: blob(r)?,
+        best_acc: r.f64()?,
+        bad_checks: r.usize64()?,
+        history: history(r)?,
+        elapsed_s: r.f64()?,
+        net_rngs: rngs(r)?,
+        replica_rngs: rngs(r)?,
+    })
+}
 
-    fn f32(&mut self) -> Result<f32, CoreError> {
-        Ok(f32::from_le_bytes(match self.take(4)?.try_into() {
-            Ok(raw) => raw,
-            Err(_) => unreachable!("take(4) yields 4 bytes"),
-        }))
-    }
-
-    fn f64(&mut self) -> Result<f64, CoreError> {
-        Ok(f64::from_le_bytes(match self.take(8)?.try_into() {
-            Ok(raw) => raw,
-            Err(_) => unreachable!("take(8) yields 8 bytes"),
-        }))
-    }
-
-    fn usize64(&mut self) -> Result<usize, CoreError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| bad(format!("value {v} exceeds the platform word size")))
-    }
-
-    /// Reads a `u32` element count and validates it against the remaining
-    /// bytes assuming at least `min_elem_size` bytes per element, so a
-    /// corrupted count cannot trigger an absurd allocation.
-    fn count(&mut self, min_elem_size: usize) -> Result<usize, CoreError> {
-        let count = self.u32()? as usize;
-        match count.checked_mul(min_elem_size) {
-            Some(need) if need <= self.data.len() => Ok(count),
-            _ => Err(bad(format!(
-                "declared count {count} exceeds the {} remaining bytes",
-                self.data.len()
-            ))),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, CoreError> {
-        let len = self.count(1)?;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| bad("tag is not valid UTF-8".into()))
-    }
-
-    fn blob(&mut self) -> Result<ParameterBlob, CoreError> {
-        let len = self.usize64()?;
-        let raw = self.take(len)?;
-        ParameterBlob::from_bytes(raw).map_err(|e| bad(format!("embedded parameter blob: {e}")))
-    }
-
-    fn rngs(&mut self) -> Result<Vec<[u64; 4]>, CoreError> {
-        let count = self.count(32)?;
-        let mut rngs = Vec::with_capacity(count);
-        for _ in 0..count {
-            rngs.push([self.u64()?, self.u64()?, self.u64()?, self.u64()?]);
-        }
-        Ok(rngs)
-    }
-
-    fn history(&mut self) -> Result<Vec<TrainPoint>, CoreError> {
-        let count = self.count(24)?;
-        let mut history = Vec::with_capacity(count);
-        for _ in 0..count {
-            history.push(TrainPoint {
-                step: self.usize64()?,
-                elapsed_s: self.f64()?,
-                val_accuracy: self.f64()?,
+fn active(r: &mut Reader) -> Result<ActiveState, String> {
+    let labeler_calls = r.u64()?;
+    let round_count = r.count(4)?; // each round carries ≥ a u32 count
+    let mut rounds = Vec::with_capacity(round_count);
+    for _ in 0..round_count {
+        let len = r.count(9)?; // u64 index + u8 label per selection
+        let mut selected = Vec::with_capacity(len);
+        let mut labels = Vec::with_capacity(len);
+        for _ in 0..len {
+            selected.push(r.u64()?);
+            labels.push(match r.u8()? {
+                0 => false,
+                1 => true,
+                flag => return Err(format!("invalid oracle-label byte {flag}")),
             });
         }
-        Ok(history)
+        rounds.push(ActiveRoundState { selected, labels });
     }
-
-    fn report(&mut self) -> Result<TrainReport, CoreError> {
-        Ok(TrainReport {
-            history: self.history()?,
-            best_val_accuracy: self.f64()?,
-            steps: self.usize64()?,
-            train_time_s: self.f64()?,
-        })
-    }
-
-    fn trainer(&mut self) -> Result<TrainerState, CoreError> {
-        Ok(TrainerState {
-            epsilon: self.f32()?,
-            steps: self.usize64()?,
-            lr: self.f32()?,
-            lr_counter: self.usize64()?,
-            batch_rng: [self.u64()?, self.u64()?, self.u64()?, self.u64()?],
-            sampler_rng: [self.u64()?, self.u64()?, self.u64()?, self.u64()?],
-            params: self.blob()?,
-            best: self.blob()?,
-            best_acc: self.f64()?,
-            bad_checks: self.usize64()?,
-            history: self.history()?,
-            elapsed_s: self.f64()?,
-            net_rngs: self.rngs()?,
-            replica_rngs: self.rngs()?,
-        })
-    }
-
-    fn active(&mut self) -> Result<ActiveState, CoreError> {
-        let labeler_calls = self.u64()?;
-        let round_count = self.count(4)?; // each round carries ≥ a u32 count
-        let mut rounds = Vec::with_capacity(round_count);
-        for _ in 0..round_count {
-            let len = self.count(9)?; // u64 index + u8 label per selection
-            let mut selected = Vec::with_capacity(len);
-            let mut labels = Vec::with_capacity(len);
-            for _ in 0..len {
-                selected.push(self.u64()?);
-                labels.push(match self.u8()? {
-                    0 => false,
-                    1 => true,
-                    flag => return Err(bad(format!("invalid oracle-label byte {flag}"))),
-                });
-            }
-            rounds.push(ActiveRoundState { selected, labels });
-        }
-        Ok(ActiveState {
-            rounds,
-            labeler_calls,
-        })
-    }
-
-    /// Rejects trailing garbage: a valid payload is consumed exactly.
-    fn finish(&self) -> Result<(), CoreError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "{} trailing bytes after the checkpoint payload",
-                self.data.len()
-            )))
-        }
-    }
+    Ok(ActiveState {
+        rounds,
+        labeler_calls,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hotspot_nn::layers::{Dense, Dropout, Relu};
+    use hotspot_nn::serialize::{assert_corruption_detected, DecodedMutations};
 
     fn sample_net() -> Network {
         let mut net = Network::new();
@@ -720,25 +557,18 @@ mod tests {
         // A v1 payload is the v2 payload minus the trailing active
         // section; synthesise one and fix up the header.
         let ckpt = sample_checkpoint(true);
-        let mut bytes = ckpt.to_bytes();
-        assert_eq!(bytes[bytes.len() - 1], 0, "active-absent flag");
-        bytes.pop(); // drop the active section entirely (v1 layout)
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let payload_len = (bytes.len() - HEADER_LEN) as u64;
-        bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&bytes[HEADER_LEN..]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
-        let decoded = Checkpoint::from_bytes(&bytes).unwrap();
+        let v1 = Frame {
+            version: 1,
+            ..FRAME
+        };
+        let mut payload = ckpt.to_bytes()[Frame::HEADER_LEN..].to_vec();
+        assert_eq!(payload.pop(), Some(0), "active-absent flag");
+        let decoded = Checkpoint::from_bytes(&v1.encode(&payload)).unwrap();
         assert_eq!(decoded, ckpt);
         assert_eq!(decoded.active, None);
         // A v1 file may not carry an active section.
-        let mut with_tail = bytes.clone();
-        with_tail.push(0);
-        let payload_len = (with_tail.len() - HEADER_LEN) as u64;
-        with_tail[12..20].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&with_tail[HEADER_LEN..]);
-        with_tail[8..12].copy_from_slice(&crc.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&with_tail).is_err());
+        payload.push(0);
+        assert!(Checkpoint::from_bytes(&v1.encode(&payload)).is_err());
     }
 
     #[test]
@@ -752,27 +582,10 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_rejected() {
-        let bytes = sample_checkpoint(true).to_bytes();
-        for len in 0..bytes.len() {
-            assert!(
-                Checkpoint::from_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn every_bit_flip_is_rejected() {
-        let bytes = sample_checkpoint(true).to_bytes();
-        for offset in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[offset] ^= 0x01;
-            assert!(
-                Checkpoint::from_bytes(&bad).is_err(),
-                "bit flip at offset {offset} must fail"
-            );
-        }
+    fn every_corruption_is_rejected() {
+        let ckpt = sample_checkpoint(true).with_active(sample_active());
+        let decoded = assert_corruption_detected(&ckpt.to_bytes(), &ckpt, Checkpoint::from_bytes);
+        assert_eq!(decoded, DecodedMutations::default());
     }
 
     #[test]
@@ -780,13 +593,9 @@ mod tests {
         // Extend the payload and fix up length + CRC so only the trailing
         // check can catch it.
         let ckpt = sample_checkpoint(false);
-        let mut bytes = ckpt.to_bytes();
-        bytes.push(0xAB);
-        let payload_len = (bytes.len() - HEADER_LEN) as u64;
-        bytes[12..20].copy_from_slice(&payload_len.to_le_bytes());
-        let crc = crc32(&bytes[HEADER_LEN..]);
-        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
-        let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+        let mut payload = ckpt.to_bytes()[Frame::HEADER_LEN..].to_vec();
+        payload.push(0xAB);
+        let err = Checkpoint::from_bytes(&FRAME.encode(&payload)).unwrap_err();
         assert!(err.to_string().contains("trailing"), "got {err}");
     }
 

@@ -32,7 +32,7 @@
 use crate::api::ModelProvenance;
 use crate::model::CnnConfig;
 use crate::{CoreError, FeaturePipeline};
-use hotspot_nn::serialize::{crc32, ParameterBlob};
+use hotspot_nn::serialize::{crc32, dec_field, hex_u32_field, ParameterBlob};
 use hotspot_nn::Network;
 
 /// Model-file format version written by [`ModelFile::to_bytes`].
@@ -105,68 +105,7 @@ impl ModelFile {
     /// panics, and never accepts a file whose decoded model would differ
     /// from the one written.
     pub fn from_bytes(data: &[u8]) -> Result<Self, CoreError> {
-        let header_end = find_blank_line(data)
-            .ok_or_else(|| CoreError::Model("missing header terminator".into()))?;
-        let header = std::str::from_utf8(&data[..header_end])
-            .map_err(|_| CoreError::Model("header is not UTF-8".into()))?;
-        let mut version = None;
-        let mut resolution_nm = None;
-        let mut grid = None;
-        let mut k = None;
-        let mut crc_declared = None;
-        for line in header.lines() {
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next()) {
-                (Some("hsmodel"), Some(v)) => version = Some(parse_value::<u32>("hsmodel", v)?),
-                (Some("resolution_nm"), Some(v)) => {
-                    resolution_nm = Some(parse_value("resolution_nm", v)?);
-                }
-                (Some("grid"), Some(v)) => grid = Some(parse_value("grid", v)?),
-                (Some("k"), Some(v)) => k = Some(parse_value("k", v)?),
-                (Some("crc"), Some(v)) => {
-                    crc_declared = Some(
-                        u32::from_str_radix(v.strip_prefix("0x").unwrap_or(v), 16).map_err(
-                            |_| CoreError::Model(format!("invalid value for crc: '{v}'")),
-                        )?,
-                    );
-                }
-                (Some(key), None) => {
-                    return Err(CoreError::Model(format!(
-                        "header line '{key}' has no value"
-                    )))
-                }
-                (Some(other), _) => {
-                    return Err(CoreError::Model(format!("unknown header key '{other}'")))
-                }
-                (None, _) => {}
-            }
-        }
-        match version {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(CoreError::Model(format!(
-                    "unsupported model version {v} (expected {VERSION})"
-                )))
-            }
-            None => return Err(CoreError::Model("missing hsmodel version line".into())),
-        }
-        let crc_declared = crc_declared.ok_or_else(|| CoreError::Model("missing crc".into()))?;
-        let blob_bytes = &data[header_end + 1..];
-        let model = ModelFile {
-            resolution_nm: resolution_nm
-                .ok_or_else(|| CoreError::Model("missing resolution_nm".into()))?,
-            grid: grid.ok_or_else(|| CoreError::Model("missing grid".into()))?,
-            k: k.ok_or_else(|| CoreError::Model("missing k".into()))?,
-            blob: ParameterBlob::from_bytes(blob_bytes)
-                .map_err(|e| CoreError::Model(format!("parameter blob: {e}")))?,
-        };
-        let crc_actual = model.checksum(blob_bytes);
-        if crc_actual != crc_declared {
-            return Err(CoreError::Model(format!(
-                "file checksum mismatch: stored {crc_declared:#010x}, computed {crc_actual:#010x}"
-            )));
-        }
-        Ok(model)
+        decode(data).map_err(CoreError::Model)
     }
 
     /// Rebuilds the feature pipeline this model expects.
@@ -199,22 +138,63 @@ impl ModelFile {
     }
 }
 
-fn parse_value<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, CoreError> {
-    v.parse()
-        .map_err(|_| CoreError::Model(format!("invalid value for {key}: '{v}'")))
-}
-
-fn find_blank_line(data: &[u8]) -> Option<usize> {
-    // Header is small; scan for "\n\n".
-    data.windows(2)
+fn decode(data: &[u8]) -> Result<ModelFile, String> {
+    // The header is small; scan for the blank line that ends it.
+    let header_end = data
+        .windows(2)
         .position(|w| w == b"\n\n")
-        .map(|idx| idx + 1)
+        .ok_or("missing header terminator")?
+        + 1;
+    let header = std::str::from_utf8(&data[..header_end]).map_err(|_| "header is not UTF-8")?;
+    let mut version = None;
+    let mut resolution_nm = None;
+    let mut grid = None;
+    let mut k = None;
+    let mut crc_declared = None;
+    for line in header.lines() {
+        let mut parts = line.split_whitespace();
+        let Some(key) = parts.next() else { continue };
+        let value = parts.next();
+        match key {
+            "hsmodel" => version = Some(dec_field::<u32>(key, value)?),
+            "resolution_nm" => resolution_nm = Some(dec_field(key, value)?),
+            "grid" => grid = Some(dec_field(key, value)?),
+            "k" => k = Some(dec_field(key, value)?),
+            "crc" => crc_declared = Some(hex_u32_field(key, value)?),
+            other => return Err(format!("unknown header key '{other}'")),
+        }
+    }
+    match version {
+        Some(VERSION) => {}
+        Some(v) => {
+            return Err(format!(
+                "unsupported model version {v} (expected {VERSION})"
+            ))
+        }
+        None => return Err("missing hsmodel version line".into()),
+    }
+    let crc_declared = crc_declared.ok_or("missing crc")?;
+    let blob_bytes = &data[header_end + 1..];
+    let model = ModelFile {
+        resolution_nm: resolution_nm.ok_or("missing resolution_nm")?,
+        grid: grid.ok_or("missing grid")?,
+        k: k.ok_or("missing k")?,
+        blob: ParameterBlob::from_bytes(blob_bytes).map_err(|e| format!("parameter blob: {e}"))?,
+    };
+    let crc_actual = model.checksum(blob_bytes);
+    if crc_actual != crc_declared {
+        return Err(format!(
+            "file checksum mismatch: stored {crc_declared:#010x}, computed {crc_actual:#010x}"
+        ));
+    }
+    Ok(model)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hotspot_nn::layers::Dense;
+    use hotspot_nn::serialize::assert_corruption_detected;
 
     fn sample() -> ModelFile {
         let cnn = CnnConfig {
@@ -340,35 +320,14 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_rejected() {
-        let bytes = tiny().to_bytes();
-        for len in 0..bytes.len() {
-            assert!(
-                ModelFile::from_bytes(&bytes[..len]).is_err(),
-                "truncation to {len} bytes must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn every_bit_flip_is_rejected_or_identical() {
+    fn every_corruption_is_rejected_or_identical() {
         // A flipped byte must never produce a *different* model: either
         // decoding fails, or (e.g. a flip inside ignorable whitespace) it
-        // yields exactly the model that was written.
+        // yields exactly the model that was written. Every truncation
+        // fails.
         let m = tiny();
-        let bytes = m.to_bytes();
-        for offset in 0..bytes.len() {
-            for bit in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[offset] ^= bit;
-                if let Ok(decoded) = ModelFile::from_bytes(&bad) {
-                    assert_eq!(
-                        decoded, m,
-                        "flip at offset {offset} decoded to a different model"
-                    );
-                }
-            }
-        }
+        let decoded = assert_corruption_detected(&m.to_bytes(), &m, ModelFile::from_bytes);
+        assert_eq!(decoded.truncations, 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::dataset::{write_corner_labels, Dataset};
 use crate::suite::BenchmarkData;
 use hotspot_geometry::io::write_clips;
 use hotspot_geometry::Clip;
-use hotspot_nn::serialize::crc32;
+use hotspot_nn::serialize::{crc32, dec_field, hex_u32_field};
 use std::error::Error;
 use std::fmt;
 
@@ -236,9 +236,9 @@ impl Manifest {
     /// structural problem; [`ManifestError::TotalCrcMismatch`] when the
     /// document was edited or truncated.
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
-        let bad = |line: usize, reason: &str| ManifestError::Malformed {
-            line,
-            reason: reason.to_string(),
+        let missing = |record: &str| ManifestError::Malformed {
+            line: 0,
+            reason: format!("missing '{record}' record"),
         };
         let mut name = None;
         let mut suite_version = None;
@@ -251,74 +251,44 @@ impl Manifest {
         let mut body = String::new();
         let mut saw_end = false;
 
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
+        let mut record = |lineno: usize, line: &str| -> Result<(), String> {
             if saw_end {
-                return Err(bad(lineno, "content after 'end'"));
+                return Err("content after 'end'".into());
             }
             let mut fields = line.split_whitespace();
-            let key = fields.next().ok_or_else(|| bad(lineno, "empty line"))?;
-            let is_tail = matches!(key, "total-crc" | "end");
-            if !is_tail {
+            let key = fields.next().ok_or("empty line")?;
+            if !matches!(key, "total-crc" | "end") {
                 body.push_str(line);
                 body.push('\n');
             }
             match key {
                 "hotspot-suite-manifest" => {
-                    let v = fields
-                        .next()
-                        .ok_or_else(|| bad(lineno, "missing format version"))?;
+                    let v = fields.next().ok_or("missing format version")?;
                     if lineno != 1 {
-                        return Err(bad(lineno, "header must be the first line"));
+                        return Err("header must be the first line".into());
                     }
                     if v != format!("v{MANIFEST_FORMAT}") {
-                        return Err(bad(lineno, &format!("unsupported format '{v}'")));
+                        return Err(format!("unsupported format '{v}'"));
                     }
                 }
-                "name" => {
-                    name = Some(
-                        fields
-                            .next()
-                            .ok_or_else(|| bad(lineno, "missing name"))?
-                            .to_string(),
-                    );
-                }
-                "suite-version" => {
-                    suite_version = Some(parse_field(&mut fields, lineno, "suite-version")?);
-                }
-                "seed" => {
-                    seed = Some(parse_field(&mut fields, lineno, "seed")?);
-                }
+                "name" => name = Some(fields.next().ok_or("missing name")?.to_string()),
+                "suite-version" => suite_version = Some(dec_field(key, fields.next())?),
+                "seed" => seed = Some(dec_field(key, fields.next())?),
                 "corner-schema" => {
-                    let v = fields
-                        .next()
-                        .ok_or_else(|| bad(lineno, "missing corner schema"))?;
-                    corner_schema = Some(if v == "none" {
-                        None
-                    } else {
-                        Some(v.to_string())
-                    });
+                    let v = fields.next().ok_or("missing corner schema")?;
+                    corner_schema = Some((v != "none").then(|| v.to_string()));
                 }
                 "split" => {
-                    let split = fields
-                        .next()
-                        .ok_or_else(|| bad(lineno, "missing split name"))?
-                        .to_string();
-                    let count = parse_kv(&mut fields, "count", lineno)?;
-                    let hotspots = parse_kv(&mut fields, "hotspots", lineno)?;
-                    let clips_crc = parse_kv_hex(&mut fields, "clips-crc", lineno)?;
-                    let labels_crc = parse_kv_hex(&mut fields, "labels-crc", lineno)?;
+                    let split = fields.next().ok_or("missing split name")?.to_string();
+                    let count = dec_field("count", keyed(&mut fields, "count")?)?;
+                    let hotspots = dec_field("hotspots", keyed(&mut fields, "hotspots")?)?;
+                    let clips_crc = hex_u32_field("clips-crc", keyed(&mut fields, "clips-crc")?)?;
+                    let labels_crc =
+                        hex_u32_field("labels-crc", keyed(&mut fields, "labels-crc")?)?;
                     let corners_crc = match fields.next() {
                         None => None,
-                        Some("corners-crc") => Some(parse_hex(
-                            fields
-                                .next()
-                                .ok_or_else(|| bad(lineno, "missing corners-crc value"))?,
-                            lineno,
-                        )?),
-                        Some(other) => {
-                            return Err(bad(lineno, &format!("unexpected field '{other}'")))
-                        }
+                        Some("corners-crc") => Some(hex_u32_field("corners-crc", fields.next())?),
+                        Some(other) => return Err(format!("unexpected field '{other}'")),
                     };
                     splits.push(SplitEntry {
                         split,
@@ -330,114 +300,58 @@ impl Manifest {
                     });
                 }
                 "family" => {
-                    let family = fields
-                        .next()
-                        .ok_or_else(|| bad(lineno, "missing family name"))?
-                        .to_string();
+                    let family = fields.next().ok_or("missing family name")?.to_string();
                     families.push(FamilyEntry {
                         family,
-                        drawn: parse_kv(&mut fields, "drawn", lineno)?,
-                        kept_hs: parse_kv(&mut fields, "kept-hs", lineno)?,
-                        kept_nhs: parse_kv(&mut fields, "kept-nhs", lineno)?,
-                        crc: parse_kv_hex(&mut fields, "crc", lineno)?,
+                        drawn: dec_field("drawn", keyed(&mut fields, "drawn")?)?,
+                        kept_hs: dec_field("kept-hs", keyed(&mut fields, "kept-hs")?)?,
+                        kept_nhs: dec_field("kept-nhs", keyed(&mut fields, "kept-nhs")?)?,
+                        crc: hex_u32_field("crc", keyed(&mut fields, "crc")?)?,
                     });
                 }
-                "augmented" => {
-                    augmented = Some(parse_field(&mut fields, lineno, "augmented")?);
-                }
-                "total-crc" => {
-                    total_crc = Some(parse_hex(
-                        fields
-                            .next()
-                            .ok_or_else(|| bad(lineno, "missing total-crc value"))?,
-                        lineno,
-                    )?);
-                }
+                "augmented" => augmented = Some(dec_field(key, fields.next())?),
+                "total-crc" => total_crc = Some(hex_u32_field(key, fields.next())?),
                 "end" => saw_end = true,
-                other => return Err(bad(lineno, &format!("unknown record '{other}'"))),
+                other => return Err(format!("unknown record '{other}'")),
             }
+            Ok(())
+        };
+        for (idx, line) in text.lines().enumerate() {
+            record(idx + 1, line).map_err(|reason| ManifestError::Malformed {
+                line: idx + 1,
+                reason,
+            })?;
         }
         if !saw_end {
-            return Err(bad(0, "missing 'end' record"));
+            return Err(missing("end"));
         }
-        let recorded = total_crc.ok_or_else(|| bad(0, "missing 'total-crc' record"))?;
+        let recorded = total_crc.ok_or_else(|| missing("total-crc"))?;
         let computed = crc32(body.as_bytes());
         if recorded != computed {
             return Err(ManifestError::TotalCrcMismatch { recorded, computed });
         }
         Ok(Manifest {
-            name: name.ok_or_else(|| bad(0, "missing 'name' record"))?,
-            suite_version: suite_version.ok_or_else(|| bad(0, "missing 'suite-version' record"))?
-                as u32,
-            seed: seed.ok_or_else(|| bad(0, "missing 'seed' record"))?,
-            corner_schema: corner_schema.ok_or_else(|| bad(0, "missing 'corner-schema' record"))?,
+            name: name.ok_or_else(|| missing("name"))?,
+            suite_version: suite_version.ok_or_else(|| missing("suite-version"))?,
+            seed: seed.ok_or_else(|| missing("seed"))?,
+            corner_schema: corner_schema.ok_or_else(|| missing("corner-schema"))?,
             splits,
             families,
-            augmented: augmented.ok_or_else(|| bad(0, "missing 'augmented' record"))? as usize,
+            augmented: augmented.ok_or_else(|| missing("augmented"))?,
             total_crc: recorded,
         })
     }
 }
 
-fn parse_field<'a>(
-    fields: &mut impl Iterator<Item = &'a str>,
-    lineno: usize,
-    what: &str,
-) -> Result<u64, ManifestError> {
-    fields
-        .next()
-        .ok_or_else(|| ManifestError::Malformed {
-            line: lineno,
-            reason: format!("missing {what} value"),
-        })?
-        .parse()
-        .map_err(|_| ManifestError::Malformed {
-            line: lineno,
-            reason: format!("{what} is not an integer"),
-        })
-}
-
-fn parse_kv<'a>(
+/// The value after an expected field name in a record (`... key value`).
+fn keyed<'a>(
     fields: &mut impl Iterator<Item = &'a str>,
     key: &str,
-    lineno: usize,
-) -> Result<usize, ManifestError> {
-    expect_key(fields, key, lineno)?;
-    Ok(parse_field(fields, lineno, key)? as usize)
-}
-
-fn parse_kv_hex<'a>(
-    fields: &mut impl Iterator<Item = &'a str>,
-    key: &str,
-    lineno: usize,
-) -> Result<u32, ManifestError> {
-    expect_key(fields, key, lineno)?;
-    let v = fields.next().ok_or_else(|| ManifestError::Malformed {
-        line: lineno,
-        reason: format!("missing {key} value"),
-    })?;
-    parse_hex(v, lineno)
-}
-
-fn expect_key<'a>(
-    fields: &mut impl Iterator<Item = &'a str>,
-    key: &str,
-    lineno: usize,
-) -> Result<(), ManifestError> {
+) -> Result<Option<&'a str>, String> {
     match fields.next() {
-        Some(k) if k == key => Ok(()),
-        other => Err(ManifestError::Malformed {
-            line: lineno,
-            reason: format!("expected '{key}', found {other:?}"),
-        }),
+        Some(k) if k == key => Ok(fields.next()),
+        other => Err(format!("expected '{key}', found {other:?}")),
     }
-}
-
-fn parse_hex(v: &str, lineno: usize) -> Result<u32, ManifestError> {
-    u32::from_str_radix(v, 16).map_err(|_| ManifestError::Malformed {
-        line: lineno,
-        reason: format!("'{v}' is not a hex crc"),
-    })
 }
 
 #[cfg(test)]
@@ -445,6 +359,7 @@ mod tests {
     use super::*;
     use crate::suite::SuiteSpec;
     use hotspot_litho::{LithoConfig, LithoSimulator};
+    use hotspot_nn::serialize::assert_corruption_detected;
 
     fn golden_data() -> BenchmarkData {
         let sim = LithoSimulator::new(LithoConfig::default()).unwrap();
@@ -510,5 +425,37 @@ mod tests {
         assert_eq!(m.augmented, 0);
         let text = m.render();
         assert_eq!(Manifest::parse(&text).unwrap(), m);
+    }
+
+    /// The committed golden-mini manifest (see `tests/golden.rs`).
+    const GOLDEN: &str = include_str!("../tests/golden/mini.manifest");
+
+    #[test]
+    fn out_of_range_suite_version_is_malformed() {
+        // Re-CRC the body so only the range check can object: 2^32 + 2
+        // must not parse as suite version 2.
+        let body: String = GOLDEN
+            .lines()
+            .take_while(|l| !l.starts_with("total-crc"))
+            .map(|l| match l.strip_prefix("suite-version ") {
+                Some(_) => "suite-version 4294967298\n".to_string(),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        let doc = format!("{body}total-crc {:08x}\nend\n", crc32(body.as_bytes()));
+        let err = Manifest::parse(&doc).unwrap_err();
+        assert!(
+            matches!(err, ManifestError::Malformed { line: 3, .. }),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn every_corruption_is_rejected_or_identical() {
+        let m = Manifest::parse(GOLDEN).unwrap();
+        assert_corruption_detected(GOLDEN.as_bytes(), &m, |bytes| {
+            let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+            Manifest::parse(text).map_err(|e| e.to_string())
+        });
     }
 }
