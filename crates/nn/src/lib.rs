@@ -25,7 +25,9 @@
 //! - [`parallel`]: deterministic multi-threaded mini-batch gradients
 //!   (the "MGD is compatible with parallel computing" point of §5).
 //! - [`data`]: seeded mini-batch sampling.
-//! - [`serialize`]: flat parameter export/import for model persistence.
+//! - [`serialize`]: flat parameter export/import for model persistence,
+//!   and the CRC, framing, field parsing, atomic write and corruption
+//!   harness every persisted format in the suite shares.
 //!
 //! Determinism: all stochastic pieces (init, dropout, batch sampling) take
 //! explicit seeds.
