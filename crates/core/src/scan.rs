@@ -17,15 +17,21 @@
 //! The cache is **bit-exact**: rasterisation accumulates per-pixel coverage
 //! only from shapes that actually touch a pixel (in insertion order), so a
 //! pixel-aligned crop of the full-layout raster equals the raster of the
-//! extracted clip, and [`hotspot_dct::BlockDctPlan::coefficients_for`]
-//! replays exactly the per-block arithmetic of whole-image extraction.
-//! Scan scores are therefore bit-identical to extracting each window with
-//! [`hotspot_geometry::Clip::extract_window`] and scoring it through
-//! [`HotspotDetector::predict_batch`] — a property pinned by a property
-//! test at the workspace root. Windows whose position does not align with
-//! the block lattice fall back to computing their blocks directly from the
-//! shared raster (still rasterising only once, but without coefficient
-//! reuse).
+//! extracted clip, and every block — here and in whole-image extraction —
+//! runs the one truncated kernel
+//! [`hotspot_dct::BlockDctPlan::coefficients_at`]. The kernel reads the
+//! block in place from the layout raster (no crop copy, no allocation) and
+//! computes only the `k` kept zig-zag coefficients, yet matches the full
+//! [`hotspot_dct::Dct2d::forward`] bit-for-bit: each kept coefficient is
+//! summed in the reference's order (row pass over `x`, then column pass
+//! over `r` with its `w == 0.0` skip), with every product rounded before
+//! its add (no fused multiply-add). Scan scores are therefore bit-identical
+//! to extracting each window with [`hotspot_geometry::Clip::extract_window`]
+//! and scoring it through [`HotspotDetector::predict_batch`] — a property
+//! pinned by a property test at the workspace root. Windows whose position
+//! does not align with the block lattice fall back to computing their
+//! blocks directly from the shared raster (still rasterising only once,
+//! but without coefficient reuse).
 //!
 //! The scan itself is **tiled**: the window-row grid is split into
 //! horizontal bands, one worker thread per band (see
@@ -415,14 +421,40 @@ fn axis_positions(extent_nm: i64, window_nm: i64, stride_nm: i64) -> Vec<i64> {
     xs
 }
 
+/// A band's block-DCT cache: the scaled coefficients of every lattice
+/// block the band transformed, `k` floats per block in one flat slab,
+/// indexed by the block's layout-global lattice key.
+#[derive(Debug)]
+struct BlockCache {
+    offsets: HashMap<(usize, usize), usize>,
+    slab: Vec<f32>,
+}
+
+impl BlockCache {
+    /// A cache sized up front for `blocks` blocks of `k` coefficients. A
+    /// slab that regrows copies itself, and once the allocator serves
+    /// multi-megabyte requests from its heap (glibc raises its mmap
+    /// threshold after the first strip raster is freed) the old copy can
+    /// stay resident, so growth would raise the scan's peak memory.
+    fn with_capacity(blocks: usize, k: usize) -> Self {
+        BlockCache {
+            offsets: HashMap::with_capacity(blocks),
+            slab: Vec::with_capacity(blocks * k),
+        }
+    }
+}
+
 /// Assembles one window's feature tensor from per-block DCT coefficients,
 /// written into the caller's `data` slice (length `k·n·n`) so a scan can
 /// fill one flat feature buffer without allocating per window.
 ///
-/// Aligned windows (low corner on the block lattice) fetch blocks through
-/// the shared cache; others transform their blocks directly from the
-/// layout raster. Either path reproduces
-/// [`crate::feature::FeaturePipeline::extract`] bit-for-bit.
+/// Every block runs [`BlockDctPlan::coefficients_at`] in place on the
+/// layout raster — the kernel [`crate::feature::FeaturePipeline::extract`]
+/// runs on a standalone window raster — so either path reproduces the
+/// standalone extraction bit-for-bit. Aligned windows (low corner on the
+/// block lattice) fetch blocks through the shared cache, transforming each
+/// lattice block once straight into the cache slab; others transform their
+/// blocks through the `k`-long `scratch` slice.
 ///
 /// `x_px`/`y_px` and the cache keys are **layout-global** pixel/lattice
 /// coordinates; `raster_y0_px` is the global pixel row where the caller's
@@ -435,7 +467,8 @@ fn window_feature_into(
     layout_raster: &Grid<f32>,
     raster_y0_px: usize,
     plan: &BlockDctPlan,
-    cache: &mut HashMap<(usize, usize), Vec<f32>>,
+    cache: &mut BlockCache,
+    scratch: &mut [f32],
     stats: &mut CacheStats,
     x_px: usize,
     y_px: usize,
@@ -449,33 +482,46 @@ fn window_feature_into(
     let aligned = x_px.is_multiple_of(b) && y_px.is_multiple_of(b);
     for j in 0..n {
         for i in 0..n {
-            if aligned {
+            let coeffs: &[f32] = if aligned {
                 let key = (x_px / b + i, y_px / b + j);
-                let coeffs: &Vec<f32> = match cache.entry(key) {
+                let at = match cache.offsets.entry(key) {
                     std::collections::hash_map::Entry::Occupied(entry) => {
                         stats.hits += 1;
-                        entry.into_mut()
+                        *entry.get()
                     }
                     std::collections::hash_map::Entry::Vacant(entry) => {
-                        let crop = layout_raster.window(key.0 * b, key.1 * b - raster_y0_px, b, b);
-                        let mut coeffs = plan.coefficients_for(&crop)?;
-                        for c in coeffs.iter_mut() {
+                        let at = cache.slab.len();
+                        cache.slab.resize(at + k, 0.0);
+                        let fresh = &mut cache.slab[at..];
+                        plan.coefficients_at(
+                            layout_raster,
+                            key.0 * b,
+                            key.1 * b - raster_y0_px,
+                            fresh,
+                        )?;
+                        for c in fresh.iter_mut() {
                             *c *= scale;
                         }
                         stats.computed += 1;
-                        entry.insert(coeffs)
+                        *entry.insert(at)
                     }
                 };
-                for c in 0..k {
-                    data[(c * n + j) * n + i] = coeffs[c];
-                }
+                &cache.slab[at..at + k]
             } else {
-                let crop = layout_raster.window(x_px + i * b, y_px + j * b - raster_y0_px, b, b);
-                let coeffs = plan.coefficients_for(&crop)?;
-                stats.computed += 1;
-                for (c, &v) in coeffs.iter().enumerate() {
-                    data[(c * n + j) * n + i] = v * scale;
+                plan.coefficients_at(
+                    layout_raster,
+                    x_px + i * b,
+                    y_px + j * b - raster_y0_px,
+                    scratch,
+                )?;
+                for c in scratch.iter_mut() {
+                    *c *= scale;
                 }
+                stats.computed += 1;
+                scratch
+            };
+            for (c, &v) in coeffs.iter().enumerate() {
+                data[(c * n + j) * n + i] = v;
             }
         }
     }
@@ -499,10 +545,10 @@ fn band_ranges(rows: usize, bands: usize) -> Vec<(usize, usize)> {
 }
 
 /// What a band worker hands back: its raw cache accounting plus the
-/// cache itself (keyed on the *layout-global* block lattice), so the
-/// caller can reconstruct exactly the stats a single shared cache would
-/// have reported.
-type BandOutcome = Result<(CacheStats, HashMap<(usize, usize), Vec<f32>>), CoreError>;
+/// cache's block index (keyed on the *layout-global* block lattice), so
+/// the caller can reconstruct exactly the stats a single shared cache
+/// would have reported.
+type BandOutcome = Result<(CacheStats, HashMap<(usize, usize), usize>), CoreError>;
 
 /// One window's result cell in the band score grid: the CNN probability
 /// (0 when the window never reached the CNN), the prefilter margin (NaN
@@ -628,7 +674,20 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
 
     // Stage 2 — CNN pass over the survivors, compacted into full scoring
     // blocks (only the final block is ragged, exactly as before).
-    let mut cache: HashMap<(usize, usize), Vec<f32>> = HashMap::new();
+    // Aligned survivors fetch at most `n²` blocks each, and never more
+    // than the strip's lattice holds.
+    let block_px = args.plan.block_size();
+    let on_lattice = |px: i64| ((px / res) as usize).is_multiple_of(block_px);
+    let aligned = survivors
+        .iter()
+        .filter(|&&idx| on_lattice(args.xs[idx % cols]) && on_lattice(args.ys[idx / cols]))
+        .count();
+    let lattice = (strip_raster.width() / block_px) * (strip_raster.height() / block_px + 1);
+    let mut cache = BlockCache::with_capacity(
+        (aligned * args.grid_dim * args.grid_dim).min(lattice),
+        args.plan.coefficients(),
+    );
+    let mut scratch = vec![0.0f32; args.plan.coefficients()];
     let mut stats = CacheStats::default();
     let mut ws = Workspace::new();
     let mut soft = vec![0.0f32; args.out_len];
@@ -646,6 +705,7 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
                 y0_px,
                 args.plan,
                 &mut cache,
+                &mut scratch,
                 &mut stats,
                 (x / res) as usize,
                 (y / res) as usize,
@@ -669,7 +729,7 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
         }
         done += b;
     }
-    Ok((stats, cache))
+    Ok((stats, cache.offsets))
 }
 
 /// Connected-component clustering of flagged windows: two positives join
@@ -1092,6 +1152,59 @@ mod tests {
                     w.x_nm,
                     w.y_nm
                 );
+            }
+        }
+    }
+
+    /// k = B² keeps all 10 horizontal frequencies of a 10 px block, so the
+    /// truncated kernel runs a second, lane-padded group of 8 columns; the
+    /// scan must still equal per-window extraction bit-for-bit, aligned and
+    /// unaligned, serial and tiled.
+    #[test]
+    fn full_coefficient_scan_matches_naive_clip_extraction() {
+        use crate::Parallelism;
+        let pipeline = FeaturePipeline::new(10, 12, 100).expect("valid pipeline");
+        let net = CnnConfig {
+            input_grid: 12,
+            input_channels: 100,
+            stage1_maps: 4,
+            stage2_maps: 4,
+            fc_width: 8,
+            dropout_pct: 50,
+            seed: 5,
+        }
+        .build();
+        let mut detector = HotspotDetector::from_network(pipeline, net);
+        let layout = LayoutSpec::uniform(2, 2, 31).build(); // 2400×2400 nm
+        for stride in [300, 250] {
+            // 300 nm is block-aligned (3 blocks of 100 nm); 250 nm is not.
+            let config = ScanConfig::new(stride).unwrap();
+            let clips: Vec<Clip> = detector
+                .scan(&layout, &config)
+                .unwrap()
+                .windows
+                .iter()
+                .map(|w| {
+                    layout.extract_window(
+                        Rect::from_size(Point::new(w.x_nm, w.y_nm), 1200, 1200).unwrap(),
+                    )
+                })
+                .collect();
+            let naive = detector.predict_batch(&clips).unwrap();
+            for workers in [1usize, 2] {
+                detector.set_parallelism(Parallelism::fixed(workers).unwrap());
+                let report = detector.scan(&layout, &config).unwrap();
+                assert_eq!(report.threads, workers);
+                assert_eq!(report.windows.len(), naive.len());
+                for (w, p) in report.windows.iter().zip(&naive) {
+                    assert_eq!(
+                        w.score.to_bits(),
+                        p.to_bits(),
+                        "stride {stride}, {workers} threads, window ({}, {})",
+                        w.x_nm,
+                        w.y_nm
+                    );
+                }
             }
         }
     }

@@ -1,9 +1,13 @@
 //! 2-D DCT via a precomputed orthonormal basis matrix.
 //!
 //! The naive 2-D DCT is O(B⁴) per block; the separable form used here —
-//! `D = C · X · Cᵀ` with a precomputed basis `C` — is O(B³) and vectorises
-//! well, which matters because feature extraction runs over every block of
-//! every clip in a benchmark (the criterion bench `dct` quantifies the gap).
+//! `D = C · X · Cᵀ` with a precomputed basis `C` — is O(B³) (the criterion
+//! bench `dct` quantifies the gap). [`Dct2d::forward`] is the plain
+//! reference loop: its row pass is one scalar dot-product chain per
+//! output, and it computes all `B²` coefficients. Feature extraction keeps
+//! only the first `k` zig-zag coefficients and runs through the truncated,
+//! lane-vectorised kernel of [`crate::BlockDctPlan`] instead, which is
+//! bit-identical to this transform followed by the zig-zag gather.
 
 use crate::DctError;
 use hotspot_geometry::Grid;
@@ -67,6 +71,13 @@ impl Dct2d {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// The row-major orthonormal basis `C` (`basis[k * B + x]`), shared with
+    /// the truncated block kernel so both transforms multiply by the same
+    /// `f32` values.
+    pub(crate) fn basis(&self) -> &[f32] {
+        &self.basis
     }
 
     /// Forward 2-D DCT-II: `D = C · X · Cᵀ`.

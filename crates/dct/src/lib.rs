@@ -8,6 +8,11 @@
 //! 3. zig-zag scan the coefficients ([`zigzag`]);
 //! 4. keep only the first `k` coefficients per block ([`tensor`]).
 //!
+//! Extraction fuses steps 2–4 into one truncated, allocation-free block
+//! kernel ([`BlockDctPlan::coefficients_at`]) that computes only the kept
+//! coefficients and is bit-identical to [`Dct2d::forward`] followed by the
+//! zig-zag gather.
+//!
 //! Because the DCT concentrates Manhattan-layout energy in the low
 //! frequencies, truncation loses little information, and the blockwise
 //! arrangement preserves the spatial relationship between sub-regions — the

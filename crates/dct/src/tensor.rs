@@ -114,21 +114,75 @@ impl FeatureTensor {
     }
 }
 
+/// Accumulator width of the truncated block kernel: one lane per output
+/// column, eight columns per group.
+const LANES: usize = 8;
+
+/// Column-pass output rows accumulated at once on the stack. Plans keeping
+/// more vertical frequencies (only blocks wider than 16 px can) recompute
+/// the row pass once per chunk instead of allocating.
+const ROW_CHUNK: usize = 16;
+
+/// Marks a column-pass output that no kept zig-zag coefficient reads.
+const UNKEPT: usize = usize::MAX;
+
 /// A reusable one-block DCT → zig-zag truncation plan.
 ///
-/// This factors the per-block inner loop of [`extract_feature_tensor`] out
-/// so callers that visit blocks in a custom order — the full-layout scan
-/// cache in `hotspot-core`, which shares block coefficients between
-/// overlapping windows — can transform one `B × B` block at a time while
-/// staying **bit-identical** to whole-image extraction:
-/// [`BlockDctPlan::coefficients_for`] performs the same [`Dct2d::forward`]
-/// call and the same first-`k` zig-zag copies, in the same order.
+/// The plan's kernel, [`BlockDctPlan::coefficients_at`], reads one `B × B`
+/// block straight out of a larger raster and writes only the first `k`
+/// zig-zag coefficients into a caller slice, with no allocation and no
+/// crop copy. Whole-image extraction ([`extract_feature_tensor`]), the
+/// full-layout scan in `hotspot-core` (cached, lattice-aligned blocks and
+/// direct, unaligned ones alike) and [`BlockDctPlan::coefficients_for`] all
+/// run this one kernel.
+///
+/// # Truncation
+///
+/// The kept zig-zag pairs `(m, n)` (horizontal, vertical frequency) span
+/// horizontal frequencies `0..=max m` and vertical frequencies
+/// `0..=max n`. The row pass computes only those columns of `X · Cᵀ`, and
+/// the column pass only those rows of `C · (X · Cᵀ)`. At the paper's
+/// `B = 10`, `k = 32` that is one 8-lane group of columns and 8 of 10
+/// rows, instead of all 100 coefficients.
+///
+/// # Bit-identity
+///
+/// The output is **bit-identical** to [`Dct2d::forward`] followed by the
+/// zig-zag gather, because every kept coefficient is computed by exactly
+/// the same sequence of `f32` operations:
+///
+/// - **Row pass.** `t[r][m] = Σ_x X[r][x] · C[m][x]`, summed from `0.0`
+///   over `x = 0..B` in order. The kernel vectorises across output columns
+///   `m` (fixed `[f32; 8]` accumulators over a transposed basis), so each
+///   lane still runs its own in-order sum; lanes past the last kept column
+///   multiply zero basis columns and are never read.
+/// - **Column pass.** `D[n][m] = Σ_r C[n][r] · t[r][m]`, summed from `0.0`
+///   over `r = 0..B` in order, skipping terms whose weight is `== 0.0`
+///   exactly as the reference does.
+/// - **No fused multiply-add.** Each product is rounded before its add.
+///   Rust never contracts `a * b + c` into an FMA on its own, and the
+///   kernel calls no `mul_add`: a fused operation rounds once and would
+///   change the low bits.
+///
+/// The plan's basis is [`Dct2d`]'s own `f32` basis, so both transforms
+/// multiply by the same values.
 #[derive(Debug, Clone)]
 pub struct BlockDctPlan {
     block_size: usize,
     coefficients: usize,
-    plan: Dct2d,
-    order: Vec<(usize, usize)>,
+    /// Column-pass output rows: vertical frequencies `0..=max n` kept.
+    rows: usize,
+    /// Groups of [`LANES`] row-pass columns covering `0..=max m` kept.
+    groups: usize,
+    /// Transposed, lane-padded row-pass basis:
+    /// `row_basis[g * B + x][l] = C[g * LANES + l][x]`, or `0.0` for a lane
+    /// past the last kept column.
+    row_basis: Vec<[f32; LANES]>,
+    /// Column-pass basis rows `0..rows`: `col_basis[n * B + r] = C[n][r]`.
+    col_basis: Vec<f32>,
+    /// `slots[(g * rows + n) * LANES + l]`: the zig-zag index of output
+    /// `(m = g * LANES + l, n)`, or [`UNKEPT`].
+    slots: Vec<usize>,
 }
 
 impl BlockDctPlan {
@@ -149,11 +203,32 @@ impl BlockDctPlan {
                 available: block_size * block_size,
             });
         }
+        let b = block_size;
+        let order = &zigzag::zigzag_indices(b)[..coefficients];
+        let cols = order.iter().map(|&(m, _)| m).max().unwrap_or(0) + 1;
+        let rows = order.iter().map(|&(_, n)| n).max().unwrap_or(0) + 1;
+        let groups = cols.div_ceil(LANES);
+        let dct = Dct2d::new(b)?;
+        let basis = dct.basis();
+        let mut row_basis = vec![[0.0f32; LANES]; groups * b];
+        for m in 0..cols {
+            let (g, l) = (m / LANES, m % LANES);
+            for x in 0..b {
+                row_basis[g * b + x][l] = basis[m * b + x];
+            }
+        }
+        let mut slots = vec![UNKEPT; groups * rows * LANES];
+        for (c, &(m, n)) in order.iter().enumerate() {
+            slots[((m / LANES) * rows + n) * LANES + m % LANES] = c;
+        }
         Ok(BlockDctPlan {
             block_size,
             coefficients,
-            plan: Dct2d::new(block_size)?,
-            order: zigzag::zigzag_indices(block_size),
+            rows,
+            groups,
+            row_basis,
+            col_basis: basis[..rows * b].to_vec(),
+            slots,
         })
     }
 
@@ -169,17 +244,121 @@ impl BlockDctPlan {
         self.coefficients
     }
 
-    /// The first `k` zig-zag DCT coefficients of one `B × B` block.
+    /// The first `k` zig-zag DCT coefficients of the `B × B` block of
+    /// `raster` whose low corner is cell `(x0, y0)`, written to `out`.
+    ///
+    /// Reads the block in place (no crop copy) and allocates nothing; see
+    /// the type docs for why the result is bit-identical to
+    /// [`Dct2d::forward`] of the cropped block followed by the zig-zag
+    /// gather.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DctError::BlockMismatch`] if the block overruns `raster`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from [`BlockDctPlan::coefficients`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hotspot_dct::BlockDctPlan;
+    /// use hotspot_geometry::Grid;
+    ///
+    /// # fn main() -> Result<(), hotspot_dct::DctError> {
+    /// let raster = Grid::from_vec(12, 9, (0..108).map(|v| (v % 5) as f32).collect());
+    /// let plan = BlockDctPlan::new(4, 6)?;
+    /// let mut out = [0.0f32; 6];
+    /// plan.coefficients_at(&raster, 7, 3, &mut out)?;
+    /// let crop = raster.window(7, 3, 4, 4);
+    /// assert_eq!(out.to_vec(), plan.coefficients_for(&crop)?);
+    /// assert!(plan.coefficients_at(&raster, 9, 3, &mut out).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn coefficients_at(
+        &self,
+        raster: &Grid<f32>,
+        x0: usize,
+        y0: usize,
+        out: &mut [f32],
+    ) -> Result<(), DctError> {
+        let b = self.block_size;
+        assert_eq!(
+            out.len(),
+            self.coefficients,
+            "output slice must hold exactly k coefficients"
+        );
+        let fits =
+            |origin: usize, extent: usize| origin.checked_add(b).is_some_and(|end| end <= extent);
+        if !fits(x0, raster.width()) || !fits(y0, raster.height()) {
+            return Err(DctError::BlockMismatch {
+                width: raster.width(),
+                height: raster.height(),
+                grid_dim: b,
+            });
+        }
+        let stride = raster.width();
+        let pixels = raster.as_slice();
+        for g in 0..self.groups {
+            let basis_g = &self.row_basis[g * b..(g + 1) * b];
+            let slots_g = &self.slots[g * self.rows * LANES..(g + 1) * self.rows * LANES];
+            for n0 in (0..self.rows).step_by(ROW_CHUNK) {
+                let chunk = (self.rows - n0).min(ROW_CHUNK);
+                let mut acc = [[0.0f32; LANES]; ROW_CHUNK];
+                for r in 0..b {
+                    // Row pass: lane l of `t` is column g·8 + l of X · Cᵀ.
+                    let start = (y0 + r) * stride + x0;
+                    let row = &pixels[start..start + b];
+                    let mut t = [0.0f32; LANES];
+                    for (&v, basis_x) in row.iter().zip(basis_g) {
+                        for (t_l, &c) in t.iter_mut().zip(basis_x) {
+                            *t_l += v * c;
+                        }
+                    }
+                    // Column pass: fold row r into every output row of the
+                    // chunk, in the reference's order and with its skip.
+                    for (dn, acc_n) in acc[..chunk].iter_mut().enumerate() {
+                        let w = self.col_basis[(n0 + dn) * b + r];
+                        if w == 0.0 {
+                            continue;
+                        }
+                        for (a, &t_l) in acc_n.iter_mut().zip(&t) {
+                            *a += w * t_l;
+                        }
+                    }
+                }
+                for (dn, acc_n) in acc[..chunk].iter().enumerate() {
+                    let slots_n = &slots_g[(n0 + dn) * LANES..(n0 + dn + 1) * LANES];
+                    for (&slot, &v) in slots_n.iter().zip(acc_n) {
+                        if slot != UNKEPT {
+                            out[slot] = v;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The first `k` zig-zag DCT coefficients of one `B × B` block: a thin
+    /// allocating wrapper over [`BlockDctPlan::coefficients_at`].
     ///
     /// # Errors
     ///
     /// Returns [`DctError::BlockMismatch`] if `block` is not `B × B`.
     pub fn coefficients_for(&self, block: &Grid<f32>) -> Result<Vec<f32>, DctError> {
-        let coeffs = self.plan.forward(block)?;
-        Ok(self.order[..self.coefficients]
-            .iter()
-            .map(|&(x, y)| coeffs[(x, y)])
-            .collect())
+        if block.width() != self.block_size || block.height() != self.block_size {
+            return Err(DctError::BlockMismatch {
+                width: block.width(),
+                height: block.height(),
+                grid_dim: self.block_size,
+            });
+        }
+        let mut out = vec![0.0f32; self.coefficients];
+        self.coefficients_at(block, 0, 0, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -187,7 +366,8 @@ impl BlockDctPlan {
 ///
 /// Implements paper Steps 1–4: block division, per-block 2-D DCT, zig-zag
 /// flattening, truncation to the first `k` coefficients, reassembled with
-/// spatial relationships unchanged.
+/// spatial relationships unchanged. Each block runs the truncated kernel
+/// [`BlockDctPlan::coefficients_at`] in place on `image`.
 ///
 /// # Errors
 ///
@@ -219,21 +399,14 @@ pub fn extract_feature_tensor(
     let n = spec.grid_dim;
     let k = spec.coefficients;
     let b = blocks::block_size(image, n)?;
-    if k > b * b {
-        return Err(DctError::TooManyCoefficients {
-            requested: k,
-            available: b * b,
-        });
-    }
-    let plan = Dct2d::new(b)?;
-    let order = zigzag::zigzag_indices(b);
+    let plan = BlockDctPlan::new(b, k)?;
+    let mut coeffs = vec![0.0f32; k];
     let mut data = vec![0.0f32; k * n * n];
     for j in 0..n {
         for i in 0..n {
-            let block = image.window(i * b, j * b, b, b);
-            let coeffs = plan.forward(&block)?;
-            for (c, &(x, y)) in order[..k].iter().enumerate() {
-                data[(c * n + j) * n + i] = coeffs[(x, y)];
+            plan.coefficients_at(image, i * b, j * b, &mut coeffs)?;
+            for (c, &v) in coeffs.iter().enumerate() {
+                data[(c * n + j) * n + i] = v;
             }
         }
     }
@@ -431,6 +604,32 @@ mod tests {
                         "block ({i},{j}) channel {c}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Blocks wider than 16 px can keep more than one stack chunk of
+    /// column-pass rows; the chunked kernel must still match
+    /// `Dct2d::forward` + zig-zag by bits.
+    #[test]
+    fn tall_plans_stay_bit_identical_across_row_chunks() {
+        for b in [17usize, 20, 33] {
+            let img = stripes(b + 3, 4);
+            let coeffs = Dct2d::new(b)
+                .unwrap()
+                .forward(&img.window(2, 1, b, b))
+                .unwrap();
+            let full: Vec<u32> = zigzag::zigzag_indices(b)
+                .into_iter()
+                .map(|(x, y)| coeffs[(x, y)].to_bits())
+                .collect();
+            for k in [b * b / 2, b * b - 1, b * b] {
+                let plan = BlockDctPlan::new(b, k).unwrap();
+                assert!(plan.rows > ROW_CHUNK, "b={b} k={k} rows {}", plan.rows);
+                let mut out = vec![0.0f32; k];
+                plan.coefficients_at(&img, 2, 1, &mut out).unwrap();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, full[..k], "b={b} k={k}");
             }
         }
     }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Fails when non-test code in the hardened crates (baselines, core, cli, nn,
-# server) calls .unwrap() or .expect(...). Recoverable failures there must
-# flow through the BaselineError / CoreError / CliError / NnError / ApiError
-# taxonomies; genuine invariants use an explicit match + panic!/unreachable!
+# Fails when non-test code in the hardened crates (baselines, core, cli, dct,
+# nn, server) calls .unwrap() or .expect(...). Recoverable failures there must
+# flow through the BaselineError / CoreError / CliError / DctError / NnError /
+# ApiError taxonomies; genuine invariants use an explicit match + panic!/unreachable!
 # with a message, which this gate deliberately does not count.
 #
 # "Non-test" means everything above the first `#[cfg(test)]` in each file
@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for file in $(find crates/baselines/src crates/core/src crates/cli/src crates/nn/src crates/server/src -name '*.rs' | sort); do
+for file in $(find crates/baselines/src crates/core/src crates/cli/src crates/dct/src crates/nn/src crates/server/src -name '*.rs' | sort); do
   hits=$(awk '
     /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }
@@ -27,8 +27,8 @@ done
 
 if [ "$status" -ne 0 ]; then
   echo
-  echo "panic gate: new .unwrap()/.expect( in non-test code under crates/{baselines,core,cli,nn,server}/src." >&2
-  echo "Return a BaselineError/CoreError/CliError/NnError/ApiError instead, or use an explicit match + panic! for" >&2
+  echo "panic gate: new .unwrap()/.expect( in non-test code under crates/{baselines,core,cli,dct,nn,server}/src." >&2
+  echo "Return a BaselineError/CoreError/CliError/DctError/NnError/ApiError instead, or use an explicit match + panic! for" >&2
   echo "a true invariant (with a message saying why it cannot happen)." >&2
   exit 1
 fi
