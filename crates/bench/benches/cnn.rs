@@ -4,9 +4,11 @@
 //! feeding the raw clip image.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hotspot_core::mgd::hotspot_probs;
 use hotspot_core::model::CnnConfig;
+use hotspot_core::Parallelism;
 use hotspot_nn::engine::Executor;
-use hotspot_nn::{loss, Parallelism, Tensor};
+use hotspot_nn::{loss, Tensor};
 
 fn bench_forward(c: &mut Criterion) {
     let mut group = c.benchmark_group("cnn_forward");
@@ -76,8 +78,9 @@ fn bench_raw_image_input(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batched inference through `Network::forward_batch` — the path
-/// `Detector::predict_batch` rides — at one, two and all threads.
+/// Batched scoring through `mgd::hotspot_probs` — the block step and
+/// worker fan-out `HotspotDetector::predict_batch` rides — at one, two and
+/// all threads.
 fn bench_forward_batch(c: &mut Criterion) {
     let cfg = CnnConfig {
         input_channels: 32,
@@ -102,7 +105,7 @@ fn bench_forward_batch(c: &mut Criterion) {
             &threads,
             |bench, &threads| {
                 let par = Parallelism::fixed(threads).expect("thread counts are nonzero");
-                bench.iter(|| net.forward_batch(std::hint::black_box(&inputs), par));
+                bench.iter(|| hotspot_probs(&net, std::hint::black_box(&inputs), par));
             },
         );
     }

@@ -126,7 +126,10 @@ fn main() {
 }
 
 fn evaluate(net: &hotspot_nn::Network, features: &[Tensor], labels: &[bool]) -> EvalResult {
-    // All cores; bit-identical to the serial predict_all.
-    let preds = mgd::predict_all_with(net, features, hotspot_core::Parallelism::auto());
+    // All cores; bit-identical to a serial pass.
+    let preds: Vec<bool> = mgd::hotspot_probs(net, features, hotspot_core::Parallelism::auto())
+        .iter()
+        .map(|&p| p > 0.5)
+        .collect();
     EvalResult::from_predictions(&preds, labels, 0.0)
 }

@@ -27,7 +27,7 @@ use crate::checkpoint::{ActiveRoundState, ActiveState, Checkpoint};
 use crate::detector::{DetectorConfig, HotspotDetector};
 use crate::mgd::{self, MgdConfig};
 use crate::session::TrainSession;
-use crate::CoreError;
+use crate::{CoreError, Parallelism};
 use hotspot_datagen::{ClipPool, Dataset};
 use hotspot_features::{KMeans, KMeansConfig};
 use hotspot_litho::simtime::SIM_TIME_PER_CLIP_S;
@@ -366,10 +366,7 @@ pub fn train_active(
             if unlabeled.is_empty() {
                 break;
             }
-            let probs: Vec<f32> = pool_tensors
-                .iter()
-                .map(|t| mgd::predict_hotspot_prob(session.network(), t))
-                .collect();
+            let probs = mgd::hotspot_probs(session.network(), &pool_tensors, Parallelism::serial());
             let picks = acquire_batch(
                 &probs,
                 &pool_flat,

@@ -435,7 +435,9 @@ impl ModelProvenance {
         let model_version = v
             .get("model_version")
             .and_then(Json::as_u64)
-            .ok_or("provenance missing 'model_version'")? as u32;
+            .ok_or("provenance missing 'model_version'")?;
+        let model_version = u32::try_from(model_version)
+            .map_err(|_| format!("provenance 'model_version' {model_version} exceeds u32"))?;
         let cascade_crc = match v.get("cascade_crc") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(
@@ -1625,6 +1627,25 @@ mod tests {
             let v = Json::parse(&p.render()).unwrap();
             assert_eq!(ModelProvenance::from_json(&v).unwrap(), p);
         }
+    }
+
+    #[test]
+    fn provenance_rejects_model_version_beyond_u32() {
+        // 2^32 + 1 used to wrap to version 1 through an `as u32` cast.
+        let v = Json::parse(
+            r#"{"model_crc": "0xdeadbeef", "model_version": 4294967297, "cascade_crc": null}"#,
+        )
+        .unwrap();
+        let err = ModelProvenance::from_json(&v).unwrap_err();
+        assert!(err.contains("model_version"), "{err}");
+        let v = Json::parse(
+            r#"{"model_crc": "0xdeadbeef", "model_version": 4294967295, "cascade_crc": null}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            ModelProvenance::from_json(&v).unwrap().model_version,
+            u32::MAX
+        );
     }
 
     #[test]

@@ -164,7 +164,8 @@ pub fn train_biased_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mgd::{self, predict_hotspot_prob};
+    use crate::mgd;
+    use crate::Parallelism;
     use hotspot_nn::layers::{Dense, Relu};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -246,10 +247,13 @@ mod tests {
         let recall = |net: &mut Network| {
             let mut hit = 0usize;
             let mut total = 0usize;
-            for (f, &l) in features.iter().zip(labels.iter()) {
+            for (p, &l) in mgd::hotspot_probs(net, &features, Parallelism::serial())
+                .into_iter()
+                .zip(&labels)
+            {
                 if l {
                     total += 1;
-                    if predict_hotspot_prob(net, f) > 0.5 {
+                    if p > 0.5 {
                         hit += 1;
                     }
                 }

@@ -31,7 +31,7 @@ use crate::CoreError;
 use hotspot_datagen::Dataset;
 use hotspot_geometry::Clip;
 use hotspot_nn::data::BatchSampler;
-use hotspot_nn::engine::Executor;
+use hotspot_nn::engine::{BatchScorer, Executor};
 use hotspot_nn::layers::{Dense, Flatten, Relu};
 use hotspot_nn::loss::{sigmoid, sigmoid_bce_into};
 use hotspot_nn::Network;
@@ -282,13 +282,38 @@ impl CornerHead {
     ///
     /// Propagates feature-extraction failures.
     pub fn predict(&self, clip: &Clip) -> Result<CornerPrediction, CoreError> {
-        let input = self.pipeline.extract(clip)?;
-        let logits = self.net.forward_inference(&input);
-        let x = logits.as_slice();
-        Ok(CornerPrediction {
-            corner_probs: x[..self.n_corners].iter().map(|&v| sigmoid(v)).collect(),
-            severity: x[self.n_corners] * self.severity_scale,
-        })
+        // One clip scores to exactly one prediction.
+        self.predict_clips(&[clip])
+            .map(|mut preds| preds.swap_remove(0))
+    }
+
+    /// Scores `clips` in blocks of [`BatchScorer::block_cap`] samples
+    /// through one [`BatchScorer`], mapping each sample's logits to its
+    /// per-corner sigmoid probabilities and rescaled severity. Batched
+    /// scoring is per-sample exact, so every prediction is bit-identical
+    /// to scoring its clip alone.
+    fn predict_clips(&self, clips: &[&Clip]) -> Result<Vec<CornerPrediction>, CoreError> {
+        let in_shape = self.pipeline.input_shape();
+        let mut scorer = BatchScorer::new();
+        let cap = scorer.block_cap(&self.net, &in_shape);
+        let mut packed = Vec::new();
+        let mut preds = Vec::with_capacity(clips.len());
+        for block in clips.chunks(cap) {
+            packed.clear();
+            for clip in block {
+                packed.extend_from_slice(self.pipeline.extract(clip)?.as_slice());
+            }
+            let logits = scorer.infer_ragged(&self.net, &packed, &in_shape, block.len());
+            preds.extend(
+                logits
+                    .chunks_exact(self.n_corners + 1)
+                    .map(|x| CornerPrediction {
+                        corner_probs: x[..self.n_corners].iter().map(|&v| sigmoid(v)).collect(),
+                        severity: x[self.n_corners] * self.severity_scale,
+                    }),
+            );
+        }
+        Ok(preds)
     }
 
     /// Evaluates the head on a corner-labelled dataset.
@@ -315,11 +340,12 @@ impl CornerHead {
         let mut per_corner_hits = vec![0usize; self.n_corners];
         let mut hotspot_hits = 0usize;
         let mut severity_err = 0.0f64;
-        for sample in data.iter() {
+        let clips: Vec<&Clip> = data.iter().map(|s| &s.clip).collect();
+        let preds = self.predict_clips(&clips)?;
+        for (sample, pred) in data.iter().zip(preds) {
             let corners = sample.corners.as_ref().ok_or_else(|| {
                 CoreError::Dataset("sample is missing per-corner labels despite the schema".into())
             })?;
-            let pred = self.predict(&sample.clip)?;
             for (c, (&p, &truth)) in pred
                 .corner_probs
                 .iter()
@@ -511,6 +537,58 @@ mod tests {
         assert!(eval.corner_accuracy > 0.9, "got {eval:?}");
         assert!(eval.hotspot_accuracy > 0.9, "got {eval:?}");
         assert!(eval.severity_mae < 2.0, "got {eval:?}");
+    }
+
+    #[test]
+    fn batched_scoring_matches_per_clip_forward_inference() {
+        let (head, _) = CornerHead::fit(&labelled_dataset(3), &quick_config()).unwrap();
+        // 70 clips: the scorer's cap is at most 64, so evaluate scores a
+        // full block plus a ragged tail.
+        let mut data = Dataset::new();
+        for v in 0..35 {
+            data.push(Sample::with_corners(dense_clip(v % 7), dense_labels()));
+            data.push(Sample::with_corners(sparse_clip(v % 7), sparse_labels()));
+        }
+        // Reference: the unplanned per-clip layer-by-layer forward.
+        let reference: Vec<CornerPrediction> = data
+            .iter()
+            .map(|s| {
+                let input = head.pipeline.extract(&s.clip).unwrap();
+                let logits = head.net.forward_inference(&input);
+                let x = logits.as_slice();
+                CornerPrediction {
+                    corner_probs: x[..3].iter().map(|&v| sigmoid(v)).collect(),
+                    severity: x[3] * head.severity_scale,
+                }
+            })
+            .collect();
+        let bits = |p: &CornerPrediction| -> Vec<u32> {
+            p.corner_probs
+                .iter()
+                .chain([&p.severity])
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for (s, want) in data.iter().zip(&reference) {
+            assert_eq!(bits(&head.predict(&s.clip).unwrap()), bits(want));
+        }
+        // evaluate aggregates exactly the reference predictions.
+        let n = data.len() as f64;
+        let mut per_corner = [0usize; 3];
+        let (mut hotspot_hits, mut severity_err) = (0usize, 0.0f64);
+        for (s, want) in data.iter().zip(&reference) {
+            let corners = s.corners.as_ref().unwrap();
+            for (c, (&p, &truth)) in want.corner_probs.iter().zip(&corners.fails).enumerate() {
+                per_corner[c] += usize::from((p >= 0.5) == truth);
+            }
+            hotspot_hits += usize::from(want.is_hotspot() == s.hotspot);
+            severity_err += (want.severity as f64 - corners.severity as f64).abs();
+        }
+        let eval = head.evaluate(&data).unwrap();
+        let per_corner: Vec<f64> = per_corner.iter().map(|&h| h as f64 / n).collect();
+        assert_eq!(eval.per_corner_accuracy, per_corner);
+        assert_eq!(eval.hotspot_accuracy, hotspot_hits as f64 / n);
+        assert_eq!(eval.severity_mae.to_bits(), (severity_err / n).to_bits());
     }
 
     #[test]

@@ -7,10 +7,11 @@ use crate::feature::FeaturePipeline;
 use crate::metrics::EvalResult;
 use crate::mgd;
 use crate::model::CnnConfig;
-use crate::parallelism::Parallelism;
+use crate::parallelism::{fan_out, Parallelism};
 use crate::CoreError;
 use hotspot_datagen::Dataset;
 use hotspot_geometry::Clip;
+use hotspot_nn::engine::BatchScorer;
 use hotspot_nn::Network;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -244,15 +245,15 @@ impl HotspotDetector {
 
     /// Predicted hotspot probability of one clip.
     ///
-    /// Inference is read-only (`Network::forward_inference`), so a shared
-    /// detector can score clips from many threads concurrently.
+    /// Inference is read-only (`&self`), so a shared detector can score
+    /// clips from many threads concurrently.
     ///
     /// # Errors
     ///
     /// Propagates feature-extraction failures.
     pub fn predict_proba(&self, clip: &Clip) -> Result<f32, CoreError> {
         let feature = self.pipeline.extract(clip)?;
-        Ok(mgd::predict_hotspot_prob(&self.net, &feature))
+        Ok(mgd::hotspot_probs(&self.net, &[feature], Parallelism::serial())[0])
     }
 
     /// Hard hotspot decision at the standard 0.5 threshold.
@@ -267,7 +268,10 @@ impl HotspotDetector {
     /// Predicted hotspot probabilities for a batch of clips, with feature
     /// extraction and CNN inference fanned out over the configured
     /// [`Parallelism`] (fixed-order chunks, results in clip order). All
-    /// workers share the network immutably — no replica cloning.
+    /// workers share the network immutably — no replica cloning. Each
+    /// worker extracts one block of [`BatchScorer::block_cap`] clips at a
+    /// time and scores it through [`mgd::append_hotspot_probs`], so memory
+    /// stays at one feature block per worker.
     ///
     /// Per-clip computation is pure, so the output is **bit-identical to
     /// calling [`HotspotDetector::predict_proba`] serially**, for any
@@ -277,72 +281,26 @@ impl HotspotDetector {
     ///
     /// Propagates the first feature-extraction failure (in clip order).
     pub fn predict_batch(&self, clips: &[Clip]) -> Result<Vec<f32>, CoreError> {
-        self.predict_batch_workers(clips, self.parallelism.workers())
-    }
-
-    fn predict_batch_workers(&self, clips: &[Clip], workers: usize) -> Result<Vec<f32>, CoreError> {
-        // Nothing to score: answer immediately instead of spinning up
-        // workers or planning a degenerate workspace.
-        if clips.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = workers.min(clips.len()).max(1);
         let pipeline = &self.pipeline;
         let net = &self.net;
-        let k = pipeline.coefficients();
-        let n = pipeline.grid_dim();
-        let in_shape = [k, n, n];
-        let feat_len = k * n * n;
-        let probe = net.plan(&in_shape);
-        let out_len = probe.out_len();
-        let block = probe.suggested_batch();
-        // Each worker extracts a block of clip features into one flat
-        // buffer and scores the whole block through the batched planner —
-        // one GEMM per layer per block — so after the first block the CNN
-        // forward pass allocates nothing (the ragged final block replans
-        // once). Batched scoring is bit-identical per clip.
-        let score_chunk = |slice: &[Clip]| -> Result<Vec<f32>, CoreError> {
-            let mut ex = hotspot_nn::engine::Executor::new();
-            let mut soft = vec![0.0f32; out_len];
-            let mut probs = Vec::with_capacity(slice.len());
-            let mut flat = vec![0.0f32; block.min(slice.len()).max(1) * feat_len];
-            for chunk in slice.chunks(block) {
-                for (clip, dst) in chunk.iter().zip(flat.chunks_exact_mut(feat_len)) {
-                    let feature = pipeline.extract(clip)?;
-                    dst.copy_from_slice(feature.as_slice());
-                }
-                let logits =
-                    ex.infer_batch(net, &flat[..chunk.len() * feat_len], &in_shape, chunk.len());
-                for y in logits.chunks_exact(out_len) {
-                    hotspot_nn::loss::softmax_into(y, &mut soft);
-                    probs.push(soft[1]);
-                }
-            }
-            Ok(probs)
-        };
-        if workers == 1 {
-            return score_chunk(clips);
-        }
-        let chunk = clips.len().div_ceil(workers);
-        let mut slots: Vec<Result<Vec<f32>, CoreError>> =
-            (0..workers).map(|_| Ok(Vec::new())).collect();
-        let score_chunk = &score_chunk;
-        if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (worker, slot) in slots.iter_mut().enumerate() {
-                let start = (worker * chunk).min(clips.len());
-                let slice = &clips[start..(start + chunk).min(clips.len())];
-                scope.spawn(move |_| {
-                    *slot = score_chunk(slice);
-                });
-            }
-        }) {
-            // A worker panic is a bug, not a recoverable condition:
-            // propagate the original payload.
-            std::panic::resume_unwind(payload);
-        }
+        let in_shape = pipeline.input_shape();
+        let feat_len: usize = in_shape.iter().product();
         let mut probs = Vec::with_capacity(clips.len());
-        for slot in slots {
-            probs.extend(slot?);
+        for chunk in fan_out(clips, self.parallelism, |slice| {
+            let mut scorer = BatchScorer::new();
+            let cap = scorer.block_cap(net, &in_shape);
+            let mut packed = Vec::with_capacity(cap.min(slice.len()) * feat_len);
+            let mut probs = Vec::with_capacity(slice.len());
+            for block in slice.chunks(cap) {
+                packed.clear();
+                for clip in block {
+                    packed.extend_from_slice(pipeline.extract(clip)?.as_slice());
+                }
+                mgd::append_hotspot_probs(&mut scorer, net, &packed, &in_shape, &mut probs);
+            }
+            Ok::<_, CoreError>(probs)
+        }) {
+            probs.extend(chunk?);
         }
         Ok(probs)
     }
@@ -418,13 +376,9 @@ impl HotspotDetector {
     /// Propagates feature-extraction failures (a test clip whose geometry
     /// does not match the training pipeline configuration).
     pub fn evaluate(&self, test: &Dataset) -> Result<EvalResult, CoreError> {
-        self.evaluate_workers(test, self.parallelism.workers())
-    }
-
-    fn evaluate_workers(&self, test: &Dataset, workers: usize) -> Result<EvalResult, CoreError> {
         let start = Instant::now();
         let clips: Vec<Clip> = test.iter().map(|s| s.clip.clone()).collect();
-        let probs = self.predict_batch_workers(&clips, workers)?;
+        let probs = self.predict_batch(&clips)?;
         let predictions: Vec<bool> = probs.iter().map(|&p| p > 0.5).collect();
         let labels: Vec<bool> = test.iter().map(|s| s.hotspot).collect();
         let eval_time = start.elapsed().as_secs_f64();

@@ -1,10 +1,10 @@
 //! Mini-batch gradient descent with validation-based stopping
 //! (paper Algorithm 1 and Section 4.2).
 
-use crate::parallelism::Parallelism;
+use crate::parallelism::{fan_out, Parallelism};
 use crate::CoreError;
 use hotspot_nn::data::BatchSampler;
-use hotspot_nn::engine::Executor;
+use hotspot_nn::engine::{BatchScorer, Executor};
 use hotspot_nn::optim::LrSchedule;
 use hotspot_nn::serialize::ParameterBlob;
 use hotspot_nn::{loss, Network, Tensor};
@@ -106,51 +106,67 @@ pub fn target_for(hotspot: bool, epsilon: f32) -> [f32; 2] {
     }
 }
 
-/// Predicted probability that `feature` is a hotspot (`y(1)` of Eq. (6)).
+/// Appends the hotspot probability (`y(1)` of Eq. (6)) of every sample in
+/// `packed` — sample-major inputs of `in_shape` back to back — to `out`,
+/// scoring them through the caller-held `scorer`
+/// ([`BatchScorer::infer_ragged`], then softmax). This is the one block
+/// step every CNN score in the suite runs through; `net` must end in the
+/// two logits (non-hotspot, hotspot). Bit-identical to per-sample
+/// [`hotspot_nn::engine::Executor::infer`] + softmax for every block size.
 ///
-/// Inference-mode only, through `&Network` — concurrent callers may share
-/// one network (see [`Network::forward_inference`]).
-pub fn predict_hotspot_prob(net: &Network, feature: &Tensor) -> f32 {
-    let logits = net.forward_inference(feature);
-    loss::softmax(logits.as_slice())[1]
-}
-
-/// [`predict_hotspot_prob`] through a caller-held [`Executor`]: the shape
-/// plan and arena are reused across calls, so a scoring loop allocates
-/// nothing after the first feature. Bit-identical to the allocating path.
-fn hotspot_prob_planned(
-    ex: &mut Executor,
+/// # Panics
+///
+/// Panics if `packed` does not hold a whole number of `in_shape` samples
+/// or the network does not emit two logits per sample.
+pub fn append_hotspot_probs(
+    scorer: &mut BatchScorer,
     net: &Network,
-    feature: &Tensor,
-    soft: &mut Vec<f32>,
-) -> f32 {
-    let logits = ex.infer(net, feature);
-    soft.resize(logits.len(), 0.0);
-    loss::softmax_into(logits, soft);
-    soft[1]
+    packed: &[f32],
+    in_shape: &[usize],
+    out: &mut Vec<f32>,
+) {
+    if packed.is_empty() {
+        return;
+    }
+    let batch = packed.len() / in_shape.iter().product::<usize>();
+    let logits = scorer.infer_ragged(net, packed, in_shape, batch);
+    let mut soft = [0.0f32; 2];
+    for y in logits.chunks_exact(logits.len() / batch) {
+        loss::softmax_into(y, &mut soft);
+        out.push(soft[1]);
+    }
 }
 
-/// Hard 0.5-threshold predictions for a feature set, scored through one
-/// reused execution plan (bit-identical to per-feature
-/// [`predict_hotspot_prob`] calls).
-pub fn predict_all(net: &Network, features: &[Tensor]) -> Vec<bool> {
-    let mut ex = Executor::new();
-    let mut soft = Vec::new();
-    features
-        .iter()
-        .map(|f| hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5)
-        .collect()
-}
-
-/// [`predict_all`] with the forward passes fanned out over the workers of
-/// a [`Parallelism`] policy via [`Network::forward_batch`]. Inference is
-/// pure, so the result is bit-identical to the serial path for any worker
-/// count.
-pub fn predict_all_with(net: &Network, features: &[Tensor], parallelism: Parallelism) -> Vec<bool> {
-    net.forward_batch(features, parallelism)
-        .iter()
-        .map(|logits| loss::softmax(logits.as_slice())[1] > 0.5)
-        .collect()
+/// Hotspot probabilities of a feature set, in input order: the features
+/// fan out over `parallelism`'s workers, and each worker packs its share
+/// into blocks of [`BatchScorer::block_cap`] samples and scores them
+/// through [`append_hotspot_probs`]. Bit-identical for every worker
+/// count; callers that only need hard decisions compare against `0.5`.
+///
+/// # Panics
+///
+/// Panics if the features do not all share one shape.
+pub fn hotspot_probs(net: &Network, features: &[Tensor], parallelism: Parallelism) -> Vec<f32> {
+    let Some(first) = features.first() else {
+        return Vec::new();
+    };
+    let in_shape = first.shape();
+    fan_out(features, parallelism, |chunk| {
+        let mut scorer = BatchScorer::new();
+        let cap = scorer.block_cap(net, in_shape);
+        let mut packed = Vec::with_capacity(cap.min(chunk.len()) * first.len());
+        let mut probs = Vec::with_capacity(chunk.len());
+        for block in chunk.chunks(cap) {
+            packed.clear();
+            for f in block {
+                assert_eq!(f.shape(), in_shape, "scored features must share one shape");
+                packed.extend_from_slice(f.as_slice());
+            }
+            append_hotspot_probs(&mut scorer, net, &packed, in_shape, &mut probs);
+        }
+        probs
+    })
+    .concat()
 }
 
 /// Balanced accuracy — the mean of hotspot recall and non-hotspot
@@ -159,14 +175,15 @@ pub fn predict_all_with(net: &Network, features: &[Tensor], parallelism: Paralle
 /// constant predictor on a skewed set.
 pub fn balanced_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
     assert_eq!(features.len(), labels.len());
-    let mut ex = Executor::new();
-    let mut soft = Vec::new();
     let mut hit = [0usize; 2];
     let mut total = [0usize; 2];
-    for (f, &l) in features.iter().zip(labels.iter()) {
+    for (p, &l) in hotspot_probs(net, features, Parallelism::serial())
+        .into_iter()
+        .zip(labels)
+    {
         let class = l as usize;
         total[class] += 1;
-        if (hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5) == l {
+        if (p > 0.5) == l {
             hit[class] += 1;
         }
     }
@@ -178,22 +195,6 @@ pub fn balanced_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) ->
         }
     };
     (recall(0) + recall(1)) / 2.0
-}
-
-/// Overall classification accuracy of `net` on a labelled feature set.
-pub fn overall_accuracy(net: &Network, features: &[Tensor], labels: &[bool]) -> f64 {
-    assert_eq!(features.len(), labels.len());
-    if features.is_empty() {
-        return 1.0;
-    }
-    let mut ex = Executor::new();
-    let mut soft = Vec::new();
-    let correct = features
-        .iter()
-        .zip(labels.iter())
-        .filter(|(f, &l)| (hotspot_prob_planned(&mut ex, net, f, &mut soft) > 0.5) == l)
-        .count();
-    correct as f64 / features.len() as f64
 }
 
 /// Complete trainer state at an optimiser-step boundary.
@@ -712,9 +713,9 @@ mod tests {
         train(&mut plain, &features, &labels, 0.0, &cfg).unwrap();
         train(&mut biased, &features, &labels, 0.3, &cfg).unwrap();
         let mean_prob = |net: &mut Network| -> f64 {
-            features
+            hotspot_probs(net, &features, Parallelism::serial())
                 .iter()
-                .map(|f| predict_hotspot_prob(net, f) as f64)
+                .map(|&p| p as f64)
                 .sum::<f64>()
                 / features.len() as f64
         };
@@ -742,20 +743,59 @@ mod tests {
     }
 
     #[test]
-    fn predict_all_with_matches_serial() {
-        let (features, _labels) = toy_data(61, 9);
+    fn hotspot_probs_match_per_sample_inference_for_every_worker_count() {
+        // 70 features: the toy net's block cap is 64, so single-worker
+        // scoring runs a full block plus a ragged tail, and every worker
+        // split lands its own ragged blocks.
+        let (features, _labels) = toy_data(70, 9);
         let net = toy_net(10);
-        let serial = predict_all(&net, &features);
-        for workers in [1, 2, 5, 16] {
-            assert_eq!(
-                predict_all_with(&net, &features, Parallelism::fixed(workers).unwrap()),
-                serial,
-                "workers = {workers}"
-            );
+        let mut ex = Executor::new();
+        let reference: Vec<f32> = features
+            .iter()
+            .map(|f| loss::softmax(ex.infer(&net, f))[1])
+            .collect();
+        let mut policies: Vec<Parallelism> = [1, 2, 3, 8]
+            .iter()
+            .map(|&w| Parallelism::fixed(w).unwrap())
+            .collect();
+        policies.push(Parallelism::auto());
+        for par in policies {
+            let probs = hotspot_probs(&net, &features, par);
+            assert_eq!(probs.len(), reference.len());
+            for (i, (a, b)) in probs.iter().zip(&reference).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "workers {par}, feature {i}");
+            }
         }
-        assert_eq!(
-            predict_all_with(&net, &features, Parallelism::auto()),
-            serial
+        assert!(hotspot_probs(&net, &[], Parallelism::auto()).is_empty());
+        // One shared `&Network` scores from several threads at once.
+        let shared = &net;
+        let features = &features;
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(move |_| {
+                        hotspot_probs(shared, features, Parallelism::fixed(2).unwrap())
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(
+                    h.join().unwrap(),
+                    hotspot_probs(shared, features, Parallelism::serial())
+                );
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "share one shape")]
+    fn hotspot_probs_rejects_mixed_shapes() {
+        let net = toy_net(10);
+        let _ = hotspot_probs(
+            &net,
+            &[Tensor::zeros(vec![6]), Tensor::zeros(vec![1, 6])],
+            Parallelism::serial(),
         );
     }
 

@@ -4,7 +4,8 @@
 //! full trade-off curve so any operating point can be read off without
 //! re-scoring the test set.
 
-use crate::mgd::predict_hotspot_prob;
+use crate::mgd::hotspot_probs;
+use crate::Parallelism;
 use hotspot_nn::{Network, Tensor};
 use serde::{Deserialize, Serialize};
 
@@ -29,10 +30,7 @@ pub struct RocPoint {
 pub fn sweep(net: &Network, features: &[Tensor], labels: &[bool], steps: usize) -> Vec<RocPoint> {
     assert_eq!(features.len(), labels.len(), "feature/label mismatch");
     assert!(steps > 0, "steps must be nonzero");
-    let probs: Vec<f32> = features
-        .iter()
-        .map(|f| predict_hotspot_prob(net, f))
-        .collect();
+    let probs = hotspot_probs(net, features, Parallelism::serial());
     let hotspot_total = labels.iter().filter(|&&l| l).count().max(1);
     let mut curve = Vec::with_capacity(steps + 1);
     for s in (0..=steps).rev() {

@@ -62,12 +62,13 @@
 use crate::api::{self, ModelProvenance};
 use crate::cascade::{prefilter_features, CascadePrefilter};
 use crate::detector::HotspotDetector;
+use crate::mgd::append_hotspot_probs;
 use crate::CoreError;
 use hotspot_dct::BlockDctPlan;
 use hotspot_features::density_feature;
 use hotspot_geometry::{raster, Clip, Grid, Point, Rect};
-use hotspot_nn::engine::{ShapePlan, Workspace};
-use hotspot_nn::{loss, Network};
+use hotspot_nn::engine::BatchScorer;
+use hotspot_nn::Network;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -148,11 +149,13 @@ impl ScanConfig {
         Ok(self)
     }
 
-    /// Overrides how many windows are scored per batched GEMM pass. By
-    /// default the block size is chosen from the execution plan's arena
-    /// footprint ([`hotspot_nn::engine::ShapePlan::suggested_batch`]);
-    /// scores are bit-identical for every block size, so this knob trades
-    /// only memory against GEMM efficiency.
+    /// Overrides how many windows each band assembles per scoring block.
+    /// By default the block size is the scorer's cap
+    /// ([`hotspot_nn::engine::BatchScorer::block_cap`], chosen from the
+    /// execution plan's arena footprint). A value above that cap is scored
+    /// in cap-sized batched GEMM passes, so it grows only the feature
+    /// buffer. Scores and [`CacheStats`] are bit-identical for every block
+    /// size, so this knob trades only memory against per-block overhead.
     ///
     /// # Errors
     ///
@@ -586,8 +589,6 @@ struct BandArgs<'a> {
     net: &'a Network,
     in_shape: [usize; 3],
     block: usize,
-    block_plan: &'a ShapePlan,
-    out_len: usize,
     cascade: Option<&'a CascadePrefilter>,
 }
 
@@ -596,9 +597,9 @@ struct BandArgs<'a> {
 /// The band rasterises only the strip of layout its windows cover
 /// (adjacent strips overlap by up to one window extent), assembles window
 /// features through a band-local block-DCT cache keyed on the global
-/// lattice, and scores windows in streaming blocks through its own warm
-/// [`Workspace`] — so peak memory is bounded by `threads × (strip raster +
-/// one score block of features)` rather than the whole scan.
+/// lattice, and scores windows in streaming blocks through its own
+/// [`BatchScorer`] — so peak memory is bounded by `threads × (strip
+/// raster + one score block of features)` rather than the whole scan.
 ///
 /// With a cascade configured, a prefilter pass runs first: every window's
 /// raster crop is reduced to a density vector and margin-scored, and only
@@ -689,9 +690,8 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
     );
     let mut scratch = vec![0.0f32; args.plan.coefficients()];
     let mut stats = CacheStats::default();
-    let mut ws = Workspace::new();
-    let mut soft = vec![0.0f32; args.out_len];
-    let mut tail_plan: Option<ShapePlan> = None;
+    let mut scorer = BatchScorer::new();
+    let mut probs = Vec::with_capacity(args.block);
     let mut feats = vec![0.0f32; args.block * args.feat_len];
     let mut done = 0usize;
     while done < survivors.len() {
@@ -712,20 +712,16 @@ fn scan_band(args: &BandArgs<'_>, cells: &mut [BandCell]) -> BandOutcome {
                 args.grid_dim,
             )?;
         }
-        let plan = if b == args.block {
-            args.block_plan
-        } else {
-            tail_plan.get_or_insert_with(|| args.net.plan_batch(&args.in_shape, b))
-        };
-        let logits = args
-            .net
-            .forward_batch_with(plan, &mut ws, &feats[..b * args.feat_len]);
-        for (logit, &idx) in logits
-            .chunks_exact(args.out_len)
-            .zip(&survivors[done..done + b])
-        {
-            loss::softmax_into(logit, &mut soft);
-            cells[idx].score = soft[1];
+        probs.clear();
+        append_hotspot_probs(
+            &mut scorer,
+            args.net,
+            &feats[..b * args.feat_len],
+            &args.in_shape,
+            &mut probs,
+        );
+        for (&p, &idx) in probs.iter().zip(&survivors[done..done + b]) {
+            cells[idx].score = p;
         }
         done += b;
     }
@@ -806,11 +802,11 @@ impl HotspotDetector {
     /// strips overlap by up to one window extent), assembles per-window
     /// feature tensors from per-block DCT coefficients through a
     /// band-local cache shard keyed on the global block lattice, and
-    /// scores its windows in streaming blocks through the batched
-    /// execution planner (block size from
-    /// [`ScanConfig::with_score_block`] or the plan's arena-footprint
-    /// suggestion) — so peak memory is bounded by the strip rasters plus
-    /// one score block of features per worker, not the layout size.
+    /// scores its windows in streaming blocks through its own
+    /// [`BatchScorer`] (block size from [`ScanConfig::with_score_block`]
+    /// or the scorer's cap) — so peak memory is bounded by the strip
+    /// rasters plus one score block of features per worker, not the
+    /// layout size.
     ///
     /// Scores, flagged windows, merged regions and cache statistics are
     /// **independent of the thread count** and bit-identical to
@@ -891,24 +887,21 @@ impl HotspotDetector {
         let total = xs.len() * ys.len();
         let net = self.network();
         let in_shape = [k, n, n];
-        let probe = net.plan(&in_shape);
-        let out_len = probe.out_len();
         let block = config
             .score_block
-            .unwrap_or_else(|| probe.suggested_batch())
+            .unwrap_or_else(|| BatchScorer::new().block_cap(net, &in_shape))
             .min(total)
             .max(1);
-        let block_plan = net.plan_batch(&in_shape, block);
         let bands = band_ranges(ys.len(), self.parallelism().workers());
         let threads = bands.len();
         let prepare_s = start.elapsed().as_secs_f64();
 
         // Tiled scan phase — the layout is sharded into horizontal bands
         // of window rows, one crossbeam worker per band. Each worker owns
-        // its raster strip, block-DCT cache shard, batch plan and warm
-        // workspace; scores land in disjoint slices of the global
-        // row-major score grid, so results are independent of the band
-        // count (the per-window arithmetic never sees the banding).
+        // its raster strip, block-DCT cache shard and batch scorer (plans
+        // plus warm workspace); scores land in disjoint slices of the
+        // global row-major score grid, so results are independent of the
+        // band count (the per-window arithmetic never sees the banding).
         let scan_t = Instant::now();
         let mut cells = vec![BandCell::default(); total];
         let band_args = |rows: &std::ops::Range<usize>| BandArgs {
@@ -924,8 +917,6 @@ impl HotspotDetector {
             net,
             in_shape,
             block,
-            block_plan: &block_plan,
-            out_len,
             cascade: config.cascade(),
         };
         let outcomes: Vec<BandOutcome> = if threads == 1 {
@@ -1326,7 +1317,9 @@ mod tests {
                 .scan(&layout, &tiny_config(stride).with_score_block(1).unwrap())
                 .unwrap();
             assert!(baseline.cache.lookups() > 0);
-            for block in [2usize, 5, 64] {
+            // 100 exceeds the scorer's cap (at most 64), so those blocks
+            // are scored in cap-sized passes.
+            for block in [2usize, 5, 64, 100] {
                 let report = detector
                     .scan(
                         &layout,

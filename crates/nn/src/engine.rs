@@ -32,17 +32,27 @@
 //! `forward_train_with` with no intervening `forward_with` on the same
 //! workspace.
 //!
+//! # Entry points
+//!
+//! The planner is the one numeric path. Every training forward/backward
+//! pass runs through [`Network::forward_train_with`] and
+//! [`Network::backward_with`] (fronted by [`Executor`]); every batch of
+//! scores runs through [`BatchScorer`], which drives
+//! [`Network::forward_batch_with`] one cached plan per block size.
+//! [`Executor::infer`] scores one sample at a time, and the unplanned
+//! [`Network::forward_inference`] remains only as the test oracle.
+//!
 //! # Determinism and bit-identity
 //!
-//! The planner is the only training path: every forward/backward pass
-//! that accumulates gradients runs through [`Network::forward_train_with`]
-//! and [`Network::backward_with`]. Planned inference is bit-identical to
-//! the unplanned [`Network::forward_inference`] by construction: both call
-//! the very same `forward_into` implementations, and a fused epilogue
-//! applies the very same per-element expression *after* the GEMM
-//! accumulation finished, in index order — exactly what the standalone
-//! activation layer would have done one call later. Dropout draws its mask
-//! stream in strict element order, so checkpoint/resume stays
+//! Planned inference is bit-identical to the unplanned
+//! [`Network::forward_inference`] by construction: both call the very
+//! same `forward_into` implementations, and a fused epilogue applies the
+//! very same per-element expression *after* the GEMM accumulation
+//! finished, in index order — exactly what the standalone activation
+//! layer would have done one call later. Batched execution is per-sample
+//! exact on top of that ([`crate::Layer::forward_batch_into`]), so a
+//! score never depends on which block a sample landed in. Dropout draws
+//! its mask stream in strict element order, so checkpoint/resume stays
 //! bit-identical too.
 //!
 //! # Examples
@@ -585,9 +595,6 @@ impl Network {
 #[derive(Debug, Clone, Default)]
 pub struct Executor {
     plan: Option<ShapePlan>,
-    /// Separate slot for the batched plan so alternating single/batched
-    /// calls (e.g. a ragged scan tail after full blocks) never replan.
-    batch_plan: Option<ShapePlan>,
     ws: Workspace,
 }
 
@@ -620,31 +627,6 @@ impl Executor {
         net.forward_with(plan, &mut self.ws, input.as_slice())
     }
 
-    /// Batched planned inference; see [`Network::forward_batch_with`].
-    /// `input` holds `batch` sample-major inputs of `in_shape` back to
-    /// back; the returned slice holds `batch` sample-major outputs,
-    /// bit-identical to `batch` separate [`Executor::infer`] calls. The
-    /// batched plan is cached separately from the single-sample one, so a
-    /// scan loop can interleave full blocks and a ragged tail (through a
-    /// second executor) without replanning.
-    pub fn infer_batch(
-        &mut self,
-        net: &Network,
-        input: &[f32],
-        in_shape: &[usize],
-        batch: usize,
-    ) -> &[f32] {
-        let stale = match &self.batch_plan {
-            Some(p) => p.in_shape() != in_shape || p.batch() != batch || p.layer_count != net.len(),
-            None => true,
-        };
-        if stale {
-            self.batch_plan = Some(net.plan_batch(in_shape, batch));
-        }
-        let plan = self.batch_plan.as_ref().unwrap_or_else(|| unreachable!());
-        net.forward_batch_with(plan, &mut self.ws, input)
-    }
-
     /// Planned training forward; see [`Network::forward_train_with`].
     pub fn forward_train(&mut self, net: &mut Network, input: &Tensor) -> &[f32] {
         self.ensure_plan(net, input.shape());
@@ -669,19 +651,20 @@ impl Executor {
     }
 }
 
-/// Batched inference over *ragged* batch sizes: the entry point for
-/// callers whose batch size varies call to call (the serve daemon's
-/// micro-batcher coalesces however many requests are queued, so every
-/// cycle can be a different size).
+/// Batched inference over any number of samples: the one scoring loop
+/// every CNN score in the suite runs through — the full-layout scan, the
+/// detector's batch prediction and evaluation, validation during
+/// training, the corner head, and the serve daemon's micro-batcher (which
+/// coalesces however many requests are queued, so every cycle can be a
+/// different size).
 ///
-/// [`Executor::infer_batch`] keeps exactly one batched plan and replans
-/// whenever the size changes — fine for a scan loop that runs one fixed
-/// block size plus one tail, pathological for a server seeing sizes
-/// 3, 7, 1, 12, ... This scorer instead splits each request into blocks
-/// of at most [`ShapePlan::suggested_batch`] samples and keeps one plan
-/// *per distinct block size* (at most the cap of them, each a few hundred
-/// bytes of offsets), so steady-state serving replans never and
-/// allocates nothing.
+/// Each call is split into blocks of at most
+/// [`ShapePlan::suggested_batch`] samples (the [`BatchScorer::block_cap`]),
+/// and the scorer keeps one plan *per distinct block size* (at most the
+/// cap of them, each a few hundred bytes of offsets) plus one warm
+/// [`Workspace`]. A scan that runs one block size plus a ragged tail, or a
+/// server that sees sizes 3, 7, 1, 12, ..., therefore replans only on the
+/// first sight of a size and allocates nothing in steady state.
 ///
 /// Scores are **bit-identical** to per-sample [`Executor::infer`] for
 /// every batch size and split, because batched execution is per-sample
@@ -934,28 +917,6 @@ mod tests {
             }
             assert_eq!(batched, single, "batch={batch}");
         }
-    }
-
-    #[test]
-    fn executor_infer_batch_matches_per_sample_infer() {
-        let net = paper_like_net();
-        let in_len = 2 * 6 * 6;
-        let batch = 4;
-        let xs: Vec<f32> = (0..in_len * batch)
-            .map(|i| (i as f32 * 0.53).cos())
-            .collect();
-        let mut ex = Executor::new();
-        let batched = ex.infer_batch(&net, &xs, &[2, 6, 6], batch).to_vec();
-        let mut single = Vec::new();
-        for b in 0..batch {
-            let x = Tensor::from_vec(vec![2, 6, 6], xs[b * in_len..(b + 1) * in_len].to_vec());
-            single.extend_from_slice(ex.infer(&net, &x));
-        }
-        assert_eq!(batched, single);
-        // Alternating batched and single calls must not disturb either
-        // cached plan (both slots stay warm).
-        let again = ex.infer_batch(&net, &xs, &[2, 6, 6], batch).to_vec();
-        assert_eq!(again, batched);
     }
 
     #[test]

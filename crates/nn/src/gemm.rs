@@ -46,7 +46,7 @@
 //! For a **fixed backend** and fixed operand shapes each output element is
 //! computed by a fixed sequence of floating-point operations, independent
 //! of threading or call history — repeated calls are bit-identical, which
-//! the batch-inference contract of [`crate::Network::forward_batch`]
+//! the batch-inference contract of [`crate::engine::BatchScorer`]
 //! relies on. Across backends the *sequence* differs (SIMD kernels
 //! accumulate in vector lanes and contract multiplies into FMAs), so SIMD
 //! results are only guaranteed to match the scalar oracle within a bounded

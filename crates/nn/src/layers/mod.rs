@@ -234,10 +234,11 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// a thin wrapper over [`Layer::forward_into`] with per-call local
     /// buffers.
     ///
-    /// Bit-identical to planned inference by construction — both run the
-    /// same `forward_into`. This is what lets many threads share
-    /// one network during batch scoring instead of cloning per-worker
-    /// replicas.
+    /// The unplanned oracle, on no production path: bit-identical to
+    /// planned inference by construction (both run the same
+    /// `forward_into`), so gradcheck, the property tests and the layer
+    /// unit tests compare the engine against it. Scoring goes through
+    /// [`crate::engine::BatchScorer`].
     ///
     /// # Panics
     ///

@@ -16,10 +16,11 @@
 //!   biased learning needs (`y*_n = [1-ε, ε]`).
 //! - [`Network`]: a sequential layer container with parameter visitation.
 //! - [`engine`]: shape-planned execution, the one path every training
-//!   forward/backward pass runs through — a `ShapePlan`/`Workspace` pair
-//!   that preallocates every intermediate buffer in one arena and fuses
-//!   activation epilogues into the GEMM layers, so steady-state inference
-//!   and training do zero allocations.
+//!   forward/backward pass and every batch of scores (`BatchScorer`) runs
+//!   through — a `ShapePlan`/`Workspace` pair that preallocates every
+//!   intermediate buffer in one arena and fuses activation epilogues into
+//!   the GEMM layers, so steady-state inference and training do zero
+//!   allocations.
 //! - [`optim`]: plain SGD and the paper's mini-batch gradient descent
 //!   (Algorithm 1) with step-decayed learning rate.
 //! - [`parallel`]: deterministic multi-threaded mini-batch gradients
@@ -81,14 +82,12 @@ pub mod loss;
 pub mod network;
 pub mod optim;
 pub mod parallel;
-pub mod parallelism;
 pub mod serialize;
 pub mod tensor;
 pub mod ulp;
 
 pub use layers::Layer;
 pub use network::Network;
-pub use parallelism::Parallelism;
 pub use tensor::Tensor;
 
 use std::error::Error;
@@ -114,8 +113,6 @@ pub enum NnError {
     /// A serialised buffer is malformed (bad magic, unsupported version,
     /// truncation, length/checksum mismatch).
     Format(String),
-    /// A runtime configuration value is out of range (zero worker count).
-    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for NnError {
@@ -131,7 +128,6 @@ impl fmt::Display for NnError {
                 )
             }
             NnError::Format(why) => write!(f, "malformed parameter data: {why}"),
-            NnError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
 }

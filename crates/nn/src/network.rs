@@ -60,111 +60,19 @@ impl Network {
     }
 
     /// Full forward pass in inference mode without mutating any layer
-    /// state, one [`Layer::forward_inference`] per layer.
+    /// state, one allocating [`Layer::forward_inference`] per layer.
     ///
-    /// Bit-identical to planned inference ([`crate::engine::Executor::infer`])
-    /// and callable through `&self`, so many worker threads can score
-    /// against one network concurrently instead of cloning per-worker
-    /// replicas.
+    /// The unplanned oracle, on no production path: gradcheck, the
+    /// property tests and the unit tests compare planned execution
+    /// ([`crate::engine::Executor::infer`],
+    /// [`crate::engine::BatchScorer::infer_ragged`]) against it, and it is
+    /// bit-identical to both. Score through the engine instead.
     pub fn forward_inference(&self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &self.layers {
             x = layer.forward_inference(&x);
         }
         x
-    }
-
-    /// Inference over a batch of same-shaped inputs on the **batched
-    /// planner** ([`Network::forward_batch_with`]): each worker packs its
-    /// inputs into sample-major blocks (block size from
-    /// [`crate::engine::ShapePlan::suggested_batch`]) and scores a whole
-    /// block per planned pass, streaming every weight matrix once per
-    /// block instead of once per input. Workers all share `&self` — no
-    /// replica cloning — and results come back in input order.
-    ///
-    /// Bit-identical to the serial [`Network::forward_inference`] loop for
-    /// any worker policy: GEMM batch columns are computed independently
-    /// (see [`crate::Layer::forward_batch_into`]) and per-input work is
-    /// pure. Training-mode batching is deliberately not offered here —
-    /// stochastic layers draw per-replica streams; use
-    /// [`crate::parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the inputs do not all share one shape.
-    pub fn forward_batch(&self, inputs: &[Tensor], parallelism: crate::Parallelism) -> Vec<Tensor> {
-        if inputs.is_empty() {
-            // Nothing to score: avoid planning a degenerate workspace.
-            return Vec::new();
-        }
-        let in_shape = inputs[0].shape().to_vec();
-        for x in inputs {
-            assert_eq!(
-                x.shape(),
-                in_shape.as_slice(),
-                "forward_batch inputs must share one shape"
-            );
-        }
-        let in_len: usize = in_shape.iter().product();
-        let probe = self.plan(&in_shape);
-        let out_len = probe.out_len();
-        if in_len == 0 || out_len == 0 {
-            // Zero-length samples cannot be packed into flat sample-major
-            // blocks; score the degenerate shapes one by one.
-            return inputs.iter().map(|x| self.forward_inference(x)).collect();
-        }
-        let out_shape = probe.out_shape().to_vec();
-        let block = probe.suggested_batch().min(inputs.len());
-        let block_plan = self.plan_batch(&in_shape, block);
-        let workers = parallelism.workers().min(inputs.len()).max(1);
-
-        let score_chunk = |slice: &[Tensor]| -> Vec<Tensor> {
-            let mut ws = crate::engine::Workspace::new();
-            let mut flat = vec![0.0f32; block * in_len];
-            // The last chunk of a worker's slice can be ragged
-            // (`slice.len() % block != 0`); its plan is built lazily, once.
-            let mut tail_plan: Option<crate::engine::ShapePlan> = None;
-            let mut out = Vec::with_capacity(slice.len());
-            for chunk in slice.chunks(block) {
-                let b = chunk.len();
-                for (j, x) in chunk.iter().enumerate() {
-                    flat[j * in_len..(j + 1) * in_len].copy_from_slice(x.as_slice());
-                }
-                let plan = if b == block {
-                    &block_plan
-                } else {
-                    tail_plan.get_or_insert_with(|| self.plan_batch(&in_shape, b))
-                };
-                let y = self.forward_batch_with(plan, &mut ws, &flat[..b * in_len]);
-                for ys in y.chunks_exact(out_len) {
-                    out.push(Tensor::from_vec(out_shape.clone(), ys.to_vec()));
-                }
-            }
-            out
-        };
-        if workers == 1 {
-            return score_chunk(inputs);
-        }
-        let chunk = inputs.len().div_ceil(workers);
-        let mut outputs: Vec<Vec<Tensor>> = vec![Vec::new(); workers];
-        let score_chunk = &score_chunk;
-        if let Err(payload) = crossbeam::thread::scope(|scope| {
-            for (worker, slot) in outputs.iter_mut().enumerate() {
-                // Ceil-division chunking can leave trailing workers past
-                // the end (13 inputs / 8 workers); clamp them to empty.
-                let start = (worker * chunk).min(inputs.len());
-                let slice = &inputs[start..(start + chunk).min(inputs.len())];
-                scope.spawn(move |_| {
-                    *slot = score_chunk(slice);
-                });
-            }
-        }) {
-            // A worker panic is a bug in layer code, not a recoverable
-            // condition: propagate the original payload instead of wrapping
-            // it in a second panic message.
-            std::panic::resume_unwind(payload);
-        }
-        outputs.into_iter().flatten().collect()
     }
 
     /// Clears all accumulated gradients.
@@ -322,71 +230,6 @@ mod tests {
         assert_eq!(rows[0], ("maxpool".to_string(), vec![1, 2, 2]));
         assert_eq!(rows[1], ("flatten".to_string(), vec![4]));
         assert_eq!(rows[2], ("fc".to_string(), vec![2]));
-    }
-
-    #[test]
-    fn forward_batch_is_bit_identical_to_serial() {
-        use crate::Parallelism;
-        let net = tiny_net();
-        // 70 inputs: tiny_net's suggested block is 64, so every worker
-        // partition exercises full blocks plus a ragged tail.
-        let inputs: Vec<Tensor> = (0..70)
-            .map(|i| {
-                Tensor::from_vec(
-                    vec![3],
-                    (0..3)
-                        .map(|j| ((i * 5 + j * 3) % 7) as f32 / 7.0 - 0.5)
-                        .collect(),
-                )
-            })
-            .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward_inference(x)).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let batched = net.forward_batch(&inputs, Parallelism::fixed(workers).unwrap());
-            assert_eq!(batched, serial, "workers = {workers}");
-        }
-        let batched = net.forward_batch(&inputs, Parallelism::auto());
-        assert_eq!(batched, serial);
-        // Empty batches are fine.
-        assert!(net.forward_batch(&[], Parallelism::auto()).is_empty());
-    }
-
-    #[test]
-    fn concurrent_forward_batch_on_shared_network_agrees_with_serial() {
-        use crate::Parallelism;
-        // Regression for the PR 3 `&self`/`Parallelism` convention:
-        // several threads batch-scoring through ONE shared `&Network`
-        // must compile (no `&mut self`) and agree with the serial loop.
-        let net = tiny_net();
-        let inputs: Vec<Tensor> = (0..9)
-            .map(|i| Tensor::from_vec(vec![3], vec![i as f32 * 0.1, -0.2, 0.3]))
-            .collect();
-        let serial: Vec<Tensor> = inputs.iter().map(|x| net.forward_inference(x)).collect();
-        let shared = &net;
-        let inputs = &inputs;
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        shared.forward_batch(inputs, Parallelism::fixed(2).unwrap())
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), serial);
-            }
-        })
-        .unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "share one shape")]
-    fn forward_batch_rejects_mixed_shapes() {
-        let net = tiny_net();
-        let _ = net.forward_batch(
-            &[Tensor::zeros(vec![3]), Tensor::zeros(vec![1, 3])],
-            crate::Parallelism::serial(),
-        );
     }
 
     #[test]

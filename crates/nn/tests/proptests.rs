@@ -1,9 +1,9 @@
 //! Property-based tests for the neural-network substrate.
 
-use hotspot_nn::engine::{Executor, Workspace};
+use hotspot_nn::engine::{BatchScorer, Executor, Workspace};
 use hotspot_nn::layers::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2, Relu, Sigmoid, Tanh};
 use hotspot_nn::serialize::ParameterBlob;
-use hotspot_nn::{gemm, loss, Network, Parallelism, Tensor};
+use hotspot_nn::{gemm, loss, Network, Tensor};
 use proptest::prelude::*;
 
 fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -278,7 +278,6 @@ proptest! {
         maps in 1usize..4,
         windows in 1usize..8,
         block in 1usize..9,
-        workers in 1usize..5,
         act in 0usize..3,
         seed in 0u64..1_000,
     ) {
@@ -289,8 +288,9 @@ proptest! {
         // `forward_batch_with`, one GEMM per layer over a whole block of
         // windows) is bit-for-bit identical to the per-window planned
         // path (`Executor::infer`). Also pinned: the unplanned `&self`
-        // `forward_inference`, the chunked `forward_batch` API across
-        // worker counts, and the train/infer kernel split (a training
+        // `forward_inference`, the ragged `BatchScorer` (one call over
+        // every window, then the same scorer again in drawn-size calls),
+        // and the train/infer kernel split (a training
         // forward with dropout disabled scores like inference).
         let build = |p_drop: f32| {
             let mut net = Network::new();
@@ -366,10 +366,19 @@ proptest! {
             }
         }
 
-        // Chunked batch API across worker counts, bit-identical to serial.
-        let batched = net.forward_batch(&inputs, Parallelism::fixed(workers).unwrap());
-        for (got, want) in batched.iter().zip(&per_window) {
-            prop_assert_eq!(got.as_slice(), &want[..]);
+        // The ragged scorer every production score runs through: one
+        // call over every window, then the same scorer (plans cached per
+        // block size) in calls of the drawn size.
+        let flat: Vec<f32> = inputs.iter().flat_map(|x| x.as_slice().to_vec()).collect();
+        let mut scorer = BatchScorer::new();
+        let whole = scorer.infer_ragged(&net, &flat, &in_shape, windows).to_vec();
+        let mut split = Vec::with_capacity(whole.len());
+        for chunk in flat.chunks(block * in_len) {
+            split.extend_from_slice(scorer.infer_ragged(&net, chunk, &in_shape, chunk.len() / in_len));
+        }
+        for (w, want) in per_window.iter().enumerate() {
+            prop_assert_eq!(&whole[w * out_len..(w + 1) * out_len], &want[..]);
+            prop_assert_eq!(&split[w * out_len..(w + 1) * out_len], &want[..]);
         }
 
         // Train/infer kernel split: with dropout disabled, a training

@@ -12,8 +12,8 @@
 //! serving model, and pushes one [`PredictJob`] onto a **bounded** queue;
 //! a single batcher thread drains *everything* queued at once, groups the
 //! jobs by model snapshot, concatenates their features and scores each
-//! group through one ragged batched inference call
-//! ([`BatchScorer::infer_ragged`]). Two clients that arrive within one
+//! group through the suite's one block-scoring step
+//! ([`mgd::append_hotspot_probs`] over a [`BatchScorer`]). Two clients that arrive within one
 //! drain cycle therefore share GEMM blocks. Batched inference is
 //! composition-independent (pinned in `hotspot-nn`), so coalescing never
 //! changes a score: every reply is bit-identical to offline
@@ -38,9 +38,8 @@ use hotspot_core::api::{
     ReloadRequest, ReloadResponse, Request, ScanRequest, ScanResponse, ServeCounters,
     ShutdownResponse, StatusResponse,
 };
-use hotspot_core::{CascadePrefilter, HotspotDetector, ModelFile, Parallelism, ScanConfig};
+use hotspot_core::{mgd, CascadePrefilter, HotspotDetector, ModelFile, Parallelism, ScanConfig};
 use hotspot_nn::engine::BatchScorer;
-use hotspot_nn::loss;
 use std::collections::VecDeque;
 use std::fs;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -582,9 +581,9 @@ impl Engine {
         self.drained.notify_all();
     }
 
-    /// One coalesced scoring pass: identical arithmetic to
-    /// [`HotspotDetector::predict_batch`] (extract → blocked batched
-    /// forward → softmax), so replies are bit-identical to offline
+    /// One coalesced scoring pass through the same block step as
+    /// [`HotspotDetector::predict_batch`] ([`mgd::append_hotspot_probs`]),
+    /// so replies are bit-identical to offline
     /// scoring regardless of how jobs were coalesced.
     fn score_group(
         &self,
@@ -600,14 +599,14 @@ impl Engine {
         for job in &group {
             flat.extend_from_slice(&job.features);
         }
-        let out = scorer.infer_ragged(model.detector().network(), &flat, &in_shape, total);
-        let out_len = out.len() / total;
-        let mut soft = vec![0.0f32; out_len];
         let mut scores = Vec::with_capacity(total);
-        for row in 0..total {
-            loss::softmax_into(&out[row * out_len..(row + 1) * out_len], &mut soft);
-            scores.push(soft[1]);
-        }
+        mgd::append_hotspot_probs(
+            scorer,
+            model.detector().network(),
+            &flat,
+            &in_shape,
+            &mut scores,
+        );
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.max_batch.fetch_max(total as u64, Ordering::Relaxed);
         let mut offset = 0;

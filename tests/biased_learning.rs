@@ -69,7 +69,10 @@ fn setup() -> Setup {
 }
 
 fn recall_and_fa(net: &hotspot_nn::Network, xs: &[Tensor], ys: &[bool]) -> (f64, usize) {
-    let preds = mgd::predict_all(net, xs);
+    let preds: Vec<bool> = mgd::hotspot_probs(net, xs, hotspot_core::Parallelism::serial())
+        .iter()
+        .map(|&p| p > 0.5)
+        .collect();
     let mut hits = 0usize;
     let mut total = 0usize;
     let mut fas = 0usize;
